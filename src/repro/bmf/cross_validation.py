@@ -8,18 +8,31 @@ cross-validation error -- this is what lets it track the better of
 BMF-ZM/BMF-NZM in every experiment of Section V.
 
 The sweep is made cheap by the dual-form solver: the fold kernels are
-submatrices of one precomputed K x K kernel, so evaluating a whole eta grid
-across all folds costs ``O(K^2 M)`` once plus ``O(N * len(grid) * K^3)``
-small solves (see :class:`repro.bmf.map_estimation.KernelMapSolver`).
+submatrices of one precomputed K x K kernel ``B = G diag(s^2) G^T`` (see
+:class:`repro.bmf.map_estimation.KernelMapSolver`), built once in
+``O(K^2 M)``.  Candidates whose kernels and eta grids are equal -- the
+zero-mean and nonzero-mean priors share the scale ``|alpha_E|`` and so the
+kernel -- differ only in the centered target ``f - G mu``.  For each such
+group the sweep gathers every fold's ``B_TT`` / ``B_VT`` once and factors
+each fold system ``eta I + B_TT`` once per (fold, eta), solving all the
+group's centered targets as the columns of one right-hand side: ``N *
+len(grid)`` factorizations of ``O(K^3)`` per kernel, not per prior.  When
+Cholesky fails (``K >= M`` leaves ``B`` rank deficient, so small etas are
+numerically singular), that fold's ``B_TT`` is eigendecomposed once and
+every failing eta of the fold reuses it with shifted eigenvalues: at most
+one extra ``O(K^3)`` eigendecomposition per fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ..faults import failpoint
+from ..linalg import solve_eigh
 from ..runtime.metrics import metrics as runtime_metrics
 from .map_estimation import KernelMapSolver
 from .priors import GaussianCoefficientPrior
@@ -31,6 +44,11 @@ __all__ = [
     "select_prior_and_eta",
     "select_prior_and_eta_from_solvers",
 ]
+
+#: The same failpoint as the MAP dual solve in
+#: :mod:`repro.bmf.map_estimation`; here it fires once per fold-system
+#: factorization.
+_FP_MAP_SOLVE = failpoint("solver.map")
 
 
 def default_eta_grid(
@@ -89,6 +107,93 @@ def _fold_masks(num_samples: int, n_folds: int):
         yield np.flatnonzero(fold_ids != fold), np.flatnonzero(fold_ids == fold)
 
 
+def _kernel_groups(
+    solvers: Sequence[KernelMapSolver], grids: Sequence[np.ndarray]
+) -> List[List[int]]:
+    """Candidate indices grouped by equal eta grid and equal kernel (the
+    same array, or equal by value: ``O(K^2)`` against the ``O(K^3)`` per
+    fold that sharing saves)."""
+    groups: List[List[int]] = []
+    for index, solver in enumerate(solvers):
+        for group in groups:
+            lead = group[0]
+            kernel = solvers[lead].kernel
+            if np.array_equal(grids[lead], grids[index]) and (
+                kernel is solver.kernel or np.array_equal(kernel, solver.kernel)
+            ):
+                group.append(index)
+                break
+        else:
+            groups.append([index])
+    return groups
+
+
+def _sweep_group(
+    solvers: Sequence[KernelMapSolver], etas: np.ndarray, n_folds: int
+) -> np.ndarray:
+    """CV error curves, shape ``(len(solvers), len(etas))``, of candidates
+    that share one kernel: one factorization per (fold, eta) for all."""
+    kernel = solvers[0].kernel
+    centered = np.column_stack([solver.centered_target for solver in solvers])
+    errors = np.zeros((len(solvers), len(etas)))
+    eigendecompositions = 0
+    for train_rows, val_rows in _fold_masks(kernel.shape[0], n_folds):
+        # Fortran order lets LAPACK factor each shifted copy in place.
+        gram = np.asfortranarray(kernel[np.ix_(train_rows, train_rows)])
+        diagonal = np.diag_indices(len(train_rows))
+        cross = kernel[np.ix_(val_rows, train_rows)]
+        rhs = np.asfortranarray(centered[train_rows])
+        actuals = [solver.target[val_rows] for solver in solvers]
+        baselines = [solver.prior_prediction[val_rows] for solver in solvers]
+        scales = [float(np.linalg.norm(actual)) or 1.0 for actual in actuals]
+        spectrum = None
+        for i, eta in enumerate(etas):
+            _FP_MAP_SOLVE.hit()
+            system = gram.copy(order="F")
+            system[diagonal] += eta
+            factor, info = dpotrf(system, lower=1, clean=0, overwrite_a=1)
+            if info == 0:
+                weights, _ = dpotrs(factor, rhs, lower=1)
+            else:
+                if spectrum is None:
+                    spectrum = np.linalg.eigh(gram)
+                    eigendecompositions += 1
+                weights = solve_eigh(spectrum[0] + eta, spectrum[1], rhs)
+            for j, column in enumerate(weights.T):
+                predicted = baselines[j] + cross @ column
+                errors[j, i] += float(np.linalg.norm(predicted - actuals[j])) / scales[j]
+    runtime_metrics.increment("bmf.cv_factorizations", n_folds * len(etas))
+    if eigendecompositions:
+        runtime_metrics.increment("bmf.cv_eigendecompositions", eigendecompositions)
+    runtime_metrics.increment("bmf.cv_evaluations", errors.size * n_folds)
+    return errors / n_folds
+
+
+def _cross_validate(
+    solvers: Sequence[KernelMapSolver],
+    grids: Sequence[np.ndarray],
+    n_folds: int,
+) -> List[np.ndarray]:
+    """Mean CV error curve of each solver over its own eta grid."""
+    for grid in grids:
+        if np.any(grid <= 0):
+            raise ValueError("all eta values must be positive")
+    for solver in solvers:
+        num_samples = solver.target.shape[0]
+        if n_folds < 2 or n_folds > num_samples:
+            raise ValueError(
+                f"n_folds must be in [2, {num_samples}], got {n_folds}"
+            )
+    curves: Dict[int, np.ndarray] = {}
+    with runtime_metrics.timer("bmf.cross_validation"):
+        for group in _kernel_groups(solvers, grids):
+            errors = _sweep_group(
+                [solvers[i] for i in group], grids[group[0]], n_folds
+            )
+            curves.update(zip(group, errors))
+    return [curves[index] for index in range(len(solvers))]
+
+
 def cross_validate_eta(
     solver: KernelMapSolver,
     etas: Sequence[float],
@@ -111,24 +216,7 @@ def cross_validate_eta(
         ``errors[i]`` is the N-fold mean of eq. (59) for ``etas[i]``.
     """
     etas = np.asarray(list(etas), dtype=float)
-    if np.any(etas <= 0):
-        raise ValueError("all eta values must be positive")
-    num_samples = solver.target.shape[0]
-    if n_folds < 2 or n_folds > num_samples:
-        raise ValueError(
-            f"n_folds must be in [2, {num_samples}], got {n_folds}"
-        )
-    errors = np.zeros(len(etas))
-    with runtime_metrics.timer("bmf.cross_validation"):
-        for train_rows, val_rows in _fold_masks(num_samples, n_folds):
-            actual = solver.target[val_rows]
-            norm = float(np.linalg.norm(actual))
-            scale = norm if norm > 0 else 1.0
-            for i, eta in enumerate(etas):
-                predicted = solver.predict_submatrix(train_rows, val_rows, eta)
-                errors[i] += float(np.linalg.norm(predicted - actual)) / scale
-    runtime_metrics.increment("bmf.cv_evaluations", n_folds * len(etas))
-    return errors / n_folds
+    return _cross_validate([solver], [etas], n_folds)[0]
 
 
 def select_prior_and_eta(
@@ -173,14 +261,17 @@ def select_prior_and_eta_from_solvers(
     if not solvers:
         raise ValueError("at least one solver is required")
     num_samples = solvers[0].target.shape[0]
-    report = CrossValidationReport(prior=solvers[0].prior, eta=np.nan, error=np.inf)
+    grids = []
     for solver in solvers:
         prior = solver.prior
         if eta_grids is not None and prior.name in eta_grids:
-            grid = np.asarray(list(eta_grids[prior.name]), dtype=float)
+            grids.append(np.asarray(list(eta_grids[prior.name]), dtype=float))
         else:
-            grid = default_eta_grid(prior, num_samples)
-        errors = cross_validate_eta(solver, grid, n_folds)
+            grids.append(default_eta_grid(prior, num_samples))
+    curves = _cross_validate(solvers, grids, n_folds)
+    report = CrossValidationReport(prior=solvers[0].prior, eta=np.nan, error=np.inf)
+    for solver, grid, errors in zip(solvers, grids, curves):
+        prior = solver.prior
         report.per_prior_errors[prior.name] = errors
         report.per_prior_grids[prior.name] = grid
         best = int(np.argmin(errors))

@@ -144,9 +144,9 @@ class KernelMapSolver:
     Precomputes ``B = G diag(s^2) G^T`` (the ``O(K^2 M)`` part) once, after
     which every call to :meth:`solve` for a new ``eta`` -- and every
     prediction on held-out rows via :meth:`predict_submatrix` -- costs only
-    ``O(K^3)`` / ``O(K^2)``.  This is what makes the cross-validation sweep
-    over hyper-parameter grids (Section IV-D) affordable: fold kernels are
-    submatrices of the full-sample kernel.
+    an ``O(K^3)`` factorization of a kernel submatrix.  This is what makes
+    the cross-validation sweep over hyper-parameter grids (Section IV-D)
+    affordable: fold kernels are submatrices of the full-sample kernel.
     """
 
     def __init__(
@@ -283,8 +283,12 @@ class KernelMapSolver:
     ) -> np.ndarray:
         """Predict at ``eval_rows`` from a model trained on ``train_rows``.
 
-        Uses only kernel submatrices, never forming coefficients -- this is
-        the O(K^2) inner loop of hyper-parameter cross-validation.
+        Uses only kernel submatrices, never forming coefficients, but
+        gathers and factors the ``len(train_rows)``-square system on every
+        call: ``O(K^3)``.  Cross-validation
+        (:mod:`repro.bmf.cross_validation`) does the same arithmetic with
+        each fold system factored once for every prior sharing the kernel;
+        this method stays as its per-(prior, fold, eta) test oracle.
         """
         weights = self.dual_weights(eta, train_rows)
         cross = self.kernel[np.ix_(eval_rows, train_rows)]

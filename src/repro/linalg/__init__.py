@@ -1,7 +1,7 @@
 """Linear-algebra kernels: SPD solves and Woodbury low-rank updates."""
 
 from .numerics import EPS, is_effectively_zero
-from .solvers import SolverError, solve_least_squares, solve_spd
+from .solvers import SolverError, solve_eigh, solve_least_squares, solve_spd
 from .woodbury import (
     CholeskyFactor,
     extend_gram_kernel,
@@ -21,6 +21,7 @@ __all__ = [
     "posterior_variance_diagonal",
     "solve_diag_plus_gram",
     "solve_diag_plus_gram_direct",
+    "solve_eigh",
     "solve_least_squares",
     "solve_spd",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-__all__ = ["solve_spd", "solve_least_squares", "SolverError"]
+__all__ = ["solve_spd", "solve_eigh", "solve_least_squares", "SolverError"]
 
 
 class SolverError(RuntimeError):
@@ -23,9 +23,10 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` for symmetric positive definite ``matrix``.
 
     Uses a Cholesky factorization (the paper's "conventional solver").
-    Falls back to an eigenvalue-clipped pseudo-solve if the matrix is
-    numerically indefinite, which can happen when prior variances span many
-    orders of magnitude.
+    Falls back to an eigenvalue-clipped pseudo-solve (:func:`solve_eigh`)
+    if the matrix is numerically indefinite, which can happen when prior
+    variances span many orders of magnitude.  ``rhs`` may be a vector or
+    an ``(n, k)`` matrix of right-hand sides.
     """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -39,12 +40,24 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         chol = scipy.linalg.cho_factor(matrix, lower=True, check_finite=False)
         return scipy.linalg.cho_solve(chol, rhs, check_finite=False)
     except scipy.linalg.LinAlgError:
-        # Regularized fallback: clip tiny/negative eigenvalues.
-        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-        floor = max(eigenvalues.max(), 1.0) * 1e-12
-        clipped = np.maximum(eigenvalues, floor)
-        projected = eigenvectors.T @ rhs
-        return eigenvectors @ (projected / clipped)
+        return solve_eigh(*np.linalg.eigh(matrix), rhs)
+
+
+def solve_eigh(
+    eigenvalues: np.ndarray, eigenvectors: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Regularized solve from a symmetric eigendecomposition ``V diag(w) V^T``.
+
+    Eigenvalues below ``1e-12 * max(w.max(), 1)`` -- tiny or negative ones
+    of a numerically indefinite matrix -- are clipped up to that floor.
+    ``rhs`` may be a vector or an ``(n, k)`` matrix of right-hand sides.
+    Shifting ``eigenvalues`` by ``eta`` solves ``(A + eta I) x = rhs`` from
+    one decomposition of ``A``.
+    """
+    floor = max(float(eigenvalues.max()), 1.0) * 1e-12
+    clipped = np.maximum(eigenvalues, floor)
+    projected = eigenvectors.T @ rhs
+    return eigenvectors @ (projected.T / clipped).T
 
 
 def solve_least_squares(design: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -40,7 +40,9 @@ METRICS: Dict[str, str] = {
     "backends.float32_serves": "serving batches evaluated in float32",
     "backends.fused_predicts": "predictions served through the fused design-predict kernel",
     "backends.selections": "process-wide backend resolutions performed",
+    "bmf.cv_eigendecompositions": "fold kernels eigendecomposed after a BMF cross-validation Cholesky failed",
     "bmf.cv_evaluations": "candidate models scored during BMF cross-validation",
+    "bmf.cv_factorizations": "fold systems eta I + B_TT factored during BMF cross-validation",
     "design_cache.corrupt_evictions": "cached design matrices evicted by contract violation",
     "design_cache.evictions": "design-matrix cache LRU evictions",
     "design_cache.hits": "design-matrix cache hits",
@@ -134,7 +136,7 @@ METRICS: Dict[str, str] = {
 
 #: Timer names -> one-line description (what one sample times).
 TIMERS: Dict[str, str] = {
-    "bmf.cross_validation": "one BMF cross-validation sweep",
+    "bmf.cross_validation": "one BMF cross-validation sweep over every candidate prior",
     "design_matrix": "one design-matrix assembly",
     "montecarlo.simulate": "one Monte Carlo simulation run",
     "sequential.rearm": "one sequential-BMF warm rearm",

@@ -125,9 +125,22 @@ class TestSolverFaults:
     def test_refits_hard_failed_by_map_solver_faults(self, tiny_ro):
         """Killing the MAP dual solve fails the refit outright (no fallback
         exists on that path); serving still answers from last-good."""
-        # Under the select prior each refit makes ~131 dual solves for this
-        # configuration, so the single trigger at hit 150 lands in refit 2.
-        plans = (FaultPlan.fail_every("solver.map", 150, max_triggers=1),)
+        # Count the solver.map hits of the first refit and of the first two
+        # (a plan that never fires still counts its hits), then put the
+        # single trigger mid-way through refit 2.
+        counting = (FaultPlan.fail_every("solver.map", 10**9),)
+        hits_through = [
+            _run(
+                tiny_ro,
+                fault_plans=counting,
+                sequential_kwargs={},
+                batch_sizes=(20, 8)[:refits],
+            ).fault_counters["faults.hits"]
+            for refits in (1, 2)
+        ]
+        assert 0 < hits_through[0] < hits_through[1]
+        trigger = (hits_through[0] + hits_through[1] + 1) // 2
+        plans = (FaultPlan.fail_every("solver.map", trigger, max_triggers=1),)
         report = _run(tiny_ro, fault_plans=plans, sequential_kwargs={})
         outcomes = report.refit_outcomes
         assert [o.ok for o in outcomes] == [True, False, True]

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repro.linalg import (
     posterior_variance_diagonal,
     solve_diag_plus_gram,
     solve_diag_plus_gram_direct,
+    solve_eigh,
     solve_least_squares,
     solve_spd,
 )
@@ -41,6 +43,40 @@ class TestSolveSpd:
         result = solve_spd(matrix, np.array([1.0, 0.0, 0.0]))
         assert np.isfinite(result).all()
         assert result[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("width", [4, 3])
+    def test_indefinite_fallback_solves_each_rhs_column(self, rng, width):
+        """Square and non-square right-hand sides take the fallback column
+        by column, exactly as separate vector solves would."""
+        root = rng.standard_normal((4, 4))
+        matrix = root + root.T
+        assert np.linalg.eigvalsh(matrix).min() < 0
+        with pytest.raises(scipy.linalg.LinAlgError):
+            scipy.linalg.cho_factor(matrix, lower=True)
+        rhs = rng.standard_normal((4, width))
+        columns = np.column_stack(
+            [solve_spd(matrix, rhs[:, j]) for j in range(width)]
+        )
+        np.testing.assert_allclose(solve_spd(matrix, rhs), columns, rtol=1e-10)
+
+
+class TestSolveEigh:
+    def test_shifted_spectrum_solves_shifted_matrix(self, rng):
+        """One decomposition of A serves every (A + eta I)."""
+        matrix = random_spd(rng, 6)
+        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+        rhs = rng.standard_normal((6, 2))
+        for eta in (0.0, 1e-3, 1.0, 10.0):
+            np.testing.assert_allclose(
+                solve_eigh(eigenvalues + eta, eigenvectors, rhs),
+                np.linalg.solve(matrix + eta * np.eye(6), rhs),
+                rtol=1e-10,
+            )
+
+    def test_clips_small_and_negative_eigenvalues_to_floor(self):
+        eigenvalues = np.array([-1.0, 0.0, 4.0])
+        result = solve_eigh(eigenvalues, np.eye(3), np.ones(3))
+        np.testing.assert_allclose(result, [1e12 / 4.0, 1e12 / 4.0, 0.25])
 
 
 class TestLeastSquares:

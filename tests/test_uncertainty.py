@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repro.bmf import (
     coefficient_posterior_variance,
@@ -112,3 +113,25 @@ class TestPredictiveVariance:
         augmented = np.vstack([design, point])
         after = predictive_variance(augmented, point, prior, 1.0)
         assert after[0] < before[0]
+
+    def test_singular_dual_system_takes_eigen_fallback(self, rng):
+        """K > M with a vanishing eta: Cholesky of the K x K dual system
+        fails and every evaluation point's right-hand side is solved by the
+        clipped eigen fallback, matching the well-posed primal form."""
+        num_samples, num_terms, num_eval = 40, 10, 5
+        design = rng.standard_normal((num_samples, num_terms))
+        early = rng.uniform(0.5, 2.0, num_terms)
+        prior = zero_mean_prior(early)
+        eta = 1e-14
+        kernel = (design * early**2) @ design.T
+        with pytest.raises(scipy.linalg.LinAlgError):
+            scipy.linalg.cho_factor(kernel + eta * np.eye(num_samples), lower=True)
+        eval_design = rng.standard_normal((num_eval, num_terms))
+        variances = predictive_variance(design, eval_design, prior, eta)
+        dense_cov = eta * np.linalg.inv(
+            eta * np.diag(early**-2.0) + design.T @ design
+        )
+        expected = np.einsum("em,mn,en->e", eval_design, dense_cov, eval_design)
+        prior_var = np.einsum("em,m,em->e", eval_design, early**2, eval_design)
+        assert variances.shape == (num_eval,)
+        np.testing.assert_allclose(variances, expected, atol=1e-9 * prior_var.max())
