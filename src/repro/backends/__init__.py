@@ -6,8 +6,8 @@ design-matrix -> predict serving kernel
 (:meth:`repro.basis.OrthonormalBasis.design_matrix` /
 :meth:`~repro.basis.OrthonormalBasis.fused_predict`), the Gram kernels
 (:func:`repro.linalg.gram_kernel` / :func:`~repro.linalg.extend_gram_kernel`),
-the Woodbury solve (:func:`repro.linalg.solve_diag_plus_gram`), and the
-bordered-Cholesky updates (:class:`repro.linalg.CholeskyFactor`).
+the Woodbury solve (:func:`repro.linalg.solve_diag_plus_gram` when K < M),
+and the bordered-Cholesky updates (:class:`repro.linalg.CholeskyFactor`).
 
 Three backends ship:
 

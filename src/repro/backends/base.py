@@ -10,7 +10,8 @@ dominate BMF wall-clock once the simulation budget is paid:
   kernel (assembly and the coefficient dot product in one pass, no
   ``K x M`` intermediate);
 * ``matmul_t`` / ``matvec`` -- the Gram contractions of
-  :func:`repro.linalg.gram_kernel` / :func:`repro.linalg.solve_diag_plus_gram`;
+  :func:`repro.linalg.gram_kernel` / :func:`repro.linalg.solve_diag_plus_gram`
+  (its K < M Woodbury dual);
 * ``triangular_solve`` -- the border-update solves of
   :class:`repro.linalg.CholeskyFactor`.
 

@@ -5,16 +5,24 @@ The MAP estimation of BMF requires solving
     (A + c * G^T G) x = b
 
 where ``A = diag(a)`` is an M x M diagonal matrix of inverse prior
-variances, ``G`` is the K x M design matrix with K << M, and ``c > 0`` is a
-scalar (``sigma_0^{-2}`` for the zero-mean prior, ``1`` for the nonzero-mean
-prior after scaling by eta).  A direct Cholesky solve costs ``O(M^3)``;
-the Woodbury identity
+variances, ``G`` is the K x M design matrix (K << M for the paper's
+late-stage data), and ``c > 0`` is a scalar (``sigma_0^{-2}`` for the
+zero-mean prior, ``1`` for the nonzero-mean prior after scaling by eta).
+A direct Cholesky solve costs ``O(K M^2 + M^3)``; when K < M the Woodbury
+identity
 
     (A + c G^T G)^{-1} = A^{-1}
         - c A^{-1} G^T (I_K + c G A^{-1} G^T)^{-1} G A^{-1}
 
 reduces this to a single K x K solve plus matrix-vector products, i.e.
 ``O(K^2 M + K^3)`` -- the paper's eqs. (53)-(58) -- while remaining *exact*.
+Once the samples outnumber the basis functions (an early-stage fit on
+thousands of schematic samples, or a pruned active set) the M x M system
+is the smaller one, and the dual also loses digits: ``A^{-1} b`` and the
+correction it subtracts both grow like ``1 / a`` and cancel.
+:func:`solve_diag_plus_gram` and :func:`posterior_variance_diagonal`
+therefore factor the K x K capacitance when K < M and the M x M system
+itself when K >= M, at ``O(min(K, M)^2 max(K, M))`` either way.
 """
 
 from __future__ import annotations
@@ -62,13 +70,29 @@ def _validate(diag: np.ndarray, design: np.ndarray, rhs: np.ndarray) -> Tuple[np
     return diag, design, rhs
 
 
+def _primal_is_smaller(design: np.ndarray) -> bool:
+    """True when the M x M primal system is no larger than the K x K dual
+    (K >= M): factoring it directly is then cheaper and skips the dual's
+    cancellation."""
+    num_samples, num_terms = design.shape
+    return num_samples >= num_terms
+
+
+def _primal_system(diag: np.ndarray, design: np.ndarray, scale: float) -> np.ndarray:
+    """The M x M SPD matrix ``diag(diag) + scale * design.T @ design``."""
+    system = design.T @ design
+    system *= scale
+    system[np.diag_indices_from(system)] += diag
+    return system
+
+
 def solve_diag_plus_gram(
     diag: np.ndarray,
     design: np.ndarray,
     rhs: np.ndarray,
     scale: float = 1.0,
 ) -> np.ndarray:
-    """Solve ``(diag(diag) + scale * design.T @ design) x = rhs`` via Woodbury.
+    """Solve ``(diag(diag) + scale * design.T @ design) x = rhs`` exactly.
 
     Parameters
     ----------
@@ -89,12 +113,16 @@ def solve_diag_plus_gram(
 
     Notes
     -----
-    Cost is ``O(K^2 M)``; the only dense factorization is of the K x K
-    capacitance matrix ``I + c G A^{-1} G^T``, which is SPD by construction.
+    Cost is ``O(min(K, M)^2 max(K, M))``: the only dense factorization is
+    of the smaller SPD system -- the K x K capacitance matrix
+    ``I + c G A^{-1} G^T`` (Woodbury) when K < M, the M x M system itself
+    (Cholesky, as in :func:`solve_diag_plus_gram_direct`) when K >= M.
     """
     diag, design, rhs = _validate(diag, design, rhs)
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
+    if _primal_is_smaller(design):
+        return solve_spd(_primal_system(diag, design, scale), rhs)
     backend = get_backend()
     inv_diag = 1.0 / diag
     base = inv_diag * rhs
@@ -122,9 +150,7 @@ def solve_diag_plus_gram_direct(
     diag, design, rhs = _validate(diag, design, rhs)
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    system = scale * (design.T @ design)
-    system[np.diag_indices_from(system)] += diag
-    return solve_spd(system, rhs)
+    return solve_spd(_primal_system(diag, design, scale), rhs)
 
 
 def posterior_variance_diagonal(
@@ -134,9 +160,11 @@ def posterior_variance_diagonal(
 ) -> np.ndarray:
     """Diagonal of ``(diag(diag) + scale * design.T @ design)^{-1}``.
 
-    Gives the marginal posterior variances of the BMF coefficients without
-    ever forming the M x M posterior covariance -- useful for reporting
-    per-coefficient uncertainty on top of the MAP point estimate.
+    Gives the marginal posterior variances of the BMF coefficients --
+    useful for reporting per-coefficient uncertainty on top of the MAP
+    point estimate.  Like :func:`solve_diag_plus_gram` it factors the
+    smaller system: when K < M it never forms the M x M posterior
+    covariance; when K >= M it inverts the M x M system directly.
     """
     diag = np.asarray(diag, dtype=float)
     design = np.asarray(design, dtype=float)
@@ -144,12 +172,15 @@ def posterior_variance_diagonal(
         raise ValueError("all diagonal entries must be strictly positive")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
+    if _primal_is_smaller(design):
+        system = _primal_system(diag, design, scale)
+        return np.diagonal(solve_spd(system, np.eye(system.shape[0]))).copy()
     inv_diag = 1.0 / diag
     scaled_design = design * inv_diag  # G A^{-1}
     num_samples = design.shape[0]
     capacitance = np.eye(num_samples) + scale * (scaled_design @ design.T)
     # Sigma = A^{-1} - c (G A^{-1})^T C^{-1} (G A^{-1})
-    solved = np.linalg.solve(capacitance, scaled_design)
+    solved = solve_spd(capacitance, scaled_design)
     reduction = scale * np.einsum("km,km->m", scaled_design, solved)
     return inv_diag - reduction
 

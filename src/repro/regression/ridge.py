@@ -20,12 +20,14 @@ __all__ = ["RidgeRegressor"]
 class RidgeRegressor(BasisRegressor):
     """Minimize ``||G a - f||^2 + penalty * ||a||^2``.
 
-    Uses the same Woodbury fast path as BMF, so it stays cheap in the
-    ``M >> K`` regime.  The constant basis term (intercept) is effectively
-    unpenalized: the target is centered before the shrinkage fit and its
-    mean restored into the constant coefficient afterwards -- essential for
-    circuit metrics whose nominal value dwarfs the variation (e.g. a 6 GHz
-    frequency with 4% spread).
+    Solves through :func:`repro.linalg.solve_diag_plus_gram`, which
+    factors the smaller of the K x K Woodbury dual and the M x M primal
+    system, so it stays cheap both in the ``M >> K`` regime and on
+    thousands of early-stage samples (``K >> M``).  The constant basis
+    term (intercept) is effectively unpenalized: the target is centered
+    before the shrinkage fit and its mean restored into the constant
+    coefficient afterwards -- essential for circuit metrics whose nominal
+    value dwarfs the variation (e.g. a 6 GHz frequency with 4% spread).
     """
 
     def __init__(self, basis, penalty: float = 1.0):

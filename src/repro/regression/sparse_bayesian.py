@@ -16,8 +16,11 @@ rule):
     alpha_m  <- gamma_m / mu_m^2
     sigma^2  <- ||y - G mu||^2 / (K - sum gamma)
 
-with the posterior mean/variances computed through the same Woodbury
-kernels as BMF, so each iteration costs ``O(K^2 M)`` even for M >> K.
+with the posterior mean/variances computed through the same
+:mod:`repro.linalg.woodbury` kernels as BMF, which factor the smaller of
+the K x K dual and the M x M primal system, so each iteration costs
+``O(K^2 M)`` for M >> K and ``O(M_a^2 K)`` once pruning leaves an active
+set of ``M_a <= K`` terms.
 """
 
 from __future__ import annotations

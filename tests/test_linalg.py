@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from repro.basis import OrthonormalBasis
 from repro.linalg import (
     posterior_variance_diagonal,
     solve_diag_plus_gram,
@@ -11,12 +12,27 @@ from repro.linalg import (
     solve_eigh,
     solve_least_squares,
     solve_spd,
+    woodbury,
 )
+from repro.regression import RidgeRegressor
 
 
 def random_spd(rng, size):
     root = rng.standard_normal((size, size))
     return root @ root.T + size * np.eye(size)
+
+
+def ridge_least_squares(design, target, diag):
+    """Independent oracle for ``(diag(diag) + G^T G) x = G^T f``: the
+    least-squares solution of the stacked ``[G; sqrt(diag) I] x = [f; 0]``."""
+    num_terms = design.shape[1]
+    stacked = np.vstack([design, np.diag(np.sqrt(diag))])
+    padded = np.concatenate([target, np.zeros(num_terms)])
+    return np.linalg.lstsq(stacked, padded, rcond=None)[0]
+
+
+def relative_error(actual, expected):
+    return np.linalg.norm(actual - expected) / np.linalg.norm(expected)
 
 
 class TestSolveSpd:
@@ -101,12 +117,19 @@ class TestLeastSquares:
 class TestWoodbury:
     @pytest.mark.parametrize("num_samples,num_terms", [(5, 20), (20, 5), (10, 10)])
     def test_matches_direct(self, rng, num_samples, num_terms):
+        """K < M holds the Woodbury dual to the direct Cholesky oracle.  At
+        K >= M the fast path factors the direct path's own system, so the
+        reference there is a dense LU solve of that system instead."""
         design = rng.standard_normal((num_samples, num_terms))
         diag = rng.uniform(0.1, 10.0, num_terms)
         rhs = rng.standard_normal(num_terms)
         fast = solve_diag_plus_gram(diag, design, rhs, scale=2.5)
-        direct = solve_diag_plus_gram_direct(diag, design, rhs, scale=2.5)
-        assert np.allclose(fast, direct, atol=1e-10)
+        if num_samples < num_terms:
+            reference = solve_diag_plus_gram_direct(diag, design, rhs, scale=2.5)
+        else:
+            system = np.diag(diag) + 2.5 * design.T @ design
+            reference = np.linalg.solve(system, rhs)
+        assert np.allclose(fast, reference, atol=1e-10)
 
     def test_matches_dense_reference(self, rng):
         design = rng.standard_normal((6, 15))
@@ -146,14 +169,70 @@ class TestWoodbury:
             solve_diag_plus_gram(np.ones(6), design, np.ones(5))
 
 
+class TestSmallerSpace:
+    """The solve factors the M x M primal system when K >= M and the K x K
+    Woodbury capacitance only when K < M."""
+
+    # 400 samples of 40 terms at the early-stage ridge penalty 1e-6 K: the
+    # dual's A^{-1} b and its correction cancel to ~5e-10 relative error
+    # here, the M x M Cholesky leaves ~3e-15.
+    NUM_SAMPLES, NUM_TERMS = 400, 40
+
+    def test_many_samples_match_stacked_least_squares(self, rng):
+        design = rng.standard_normal((self.NUM_SAMPLES, self.NUM_TERMS))
+        target = rng.standard_normal(self.NUM_SAMPLES)
+        diag = np.full(self.NUM_TERMS, 1e-6 * self.NUM_SAMPLES)
+        solved = solve_diag_plus_gram(diag, design, design.T @ target)
+        reference = ridge_least_squares(design, target, diag)
+        assert relative_error(solved, reference) < 1e-12
+
+    def test_ridge_many_samples_match_stacked_least_squares(self, rng):
+        basis = OrthonormalBasis.linear(self.NUM_TERMS - 1)
+        x = rng.standard_normal((self.NUM_SAMPLES, self.NUM_TERMS - 1))
+        design = basis.design_matrix(x)
+        target = 3.0 + x @ rng.standard_normal(self.NUM_TERMS - 1)
+        target += 0.1 * rng.standard_normal(self.NUM_SAMPLES)
+        penalty = 1e-6 * self.NUM_SAMPLES
+        fitted = RidgeRegressor(basis, penalty=penalty).fit_design(design, target)
+        offset = target.mean()
+        reference = ridge_least_squares(
+            design, target - offset, np.full(basis.size, penalty)
+        )
+        reference[0] += offset  # the constant term gets the mean back
+        assert relative_error(fitted, reference) < 1e-12
+
+    @pytest.mark.parametrize("num_samples,num_terms", [(5, 20), (20, 5), (10, 10)])
+    @pytest.mark.parametrize("variances", [False, True])
+    def test_factors_the_smaller_system(
+        self, rng, monkeypatch, num_samples, num_terms, variances
+    ):
+        factored = []
+
+        def recording_solve_spd(matrix, rhs):
+            factored.append(np.shape(matrix))
+            return solve_spd(matrix, rhs)
+
+        monkeypatch.setattr(woodbury, "solve_spd", recording_solve_spd)
+        design = rng.standard_normal((num_samples, num_terms))
+        diag = rng.uniform(0.1, 10.0, num_terms)
+        if variances:
+            posterior_variance_diagonal(diag, design, scale=2.0)
+        else:
+            solve_diag_plus_gram(diag, design, np.ones(num_terms), scale=2.0)
+        size = min(num_samples, num_terms)
+        assert factored == [(size, size)]
+
+
 class TestPosteriorVariance:
     def test_matches_dense_inverse_diagonal(self, rng):
-        design = rng.standard_normal((7, 12))
-        diag = rng.uniform(0.2, 3.0, 12)
-        system = np.diag(diag) + 1.7 * design.T @ design
-        expected = np.diag(np.linalg.inv(system))
-        computed = posterior_variance_diagonal(diag, design, scale=1.7)
-        assert np.allclose(computed, expected)
+        # K < M takes the Woodbury dual; K >= M inverts the M x M system.
+        for num_samples, num_terms in [(7, 12), (12, 7), (9, 9)]:
+            design = rng.standard_normal((num_samples, num_terms))
+            diag = rng.uniform(0.2, 3.0, num_terms)
+            system = np.diag(diag) + 1.7 * design.T @ design
+            expected = np.diag(np.linalg.inv(system))
+            computed = posterior_variance_diagonal(diag, design, scale=1.7)
+            assert np.allclose(computed, expected)
 
     def test_no_data_returns_prior_variance(self):
         diag = np.array([2.0, 4.0])
