@@ -14,8 +14,9 @@ returned with ``writeable=False`` so an accidental in-place edit raises
 instead of silently corrupting every later hit.
 
 The process-global cache is enabled by default and bounded both by entry
-count and total bytes; tiny evaluations (single-sample ``predict`` calls)
-bypass it entirely.  Hits/misses/evictions are reported through
+count and total bytes, and matrices never reused hold at most an eighth
+of the bytes; tiny evaluations (single-sample ``predict`` calls) bypass
+it entirely.  Hits/misses/evictions are reported through
 :mod:`repro.runtime.metrics`.
 """
 
@@ -87,6 +88,16 @@ def design_key(
 class DesignMatrixCache:
     """Bounded LRU cache of assembled design matrices.
 
+    One guard sits in front of plain LRU: entries not hit since they were
+    stored -- a fresh Monte Carlo batch served once, a fit's own design --
+    may together hold at most an eighth of ``max_bytes``; past that the
+    oldest of them goes first, even while the cache has room (the newest
+    always stays, so it can still be hit).  A hit lifts an entry out of
+    that share.  A stream of one-off batches therefore cycles through a
+    slice of the budget instead of filling all of it, while a matrix
+    reused a few requests later -- a repeated serving batch, the second
+    read inside one fit -- still hits.
+
     Parameters
     ----------
     max_entries:
@@ -115,6 +126,9 @@ class DesignMatrixCache:
         self._lock = named_lock("runtime.design_cache")
         self._entries: "OrderedDict[CacheKey, np.ndarray]" = OrderedDict()
         self._bytes = 0
+        # Sizes of the entries not hit since they were stored, oldest first.
+        self._unhit: "OrderedDict[CacheKey, int]" = OrderedDict()
+        self._unhit_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -135,6 +149,8 @@ class DesignMatrixCache:
         with self._lock:
             self._entries.clear()
             self._bytes = 0
+            self._unhit.clear()
+            self._unhit_bytes = 0
 
     def stats(self) -> dict:
         """Consistent snapshot of counters and occupancy, read under the lock.
@@ -177,6 +193,7 @@ class DesignMatrixCache:
             if cached is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
+                self._unhit_bytes -= self._unhit.pop(key, 0)
         if cached is not None:
             metrics.increment("design_cache.hits")
             try:
@@ -191,9 +208,7 @@ class DesignMatrixCache:
             except (ContractViolationError, InjectedFault):
                 metrics.increment("design_cache.corrupt_evictions")
                 with self._lock:
-                    entry = self._entries.pop(key, None)
-                    if entry is not None:
-                        self._bytes -= entry.nbytes
+                    if self._drop_locked(key):
                         self.evictions += 1
 
         result = compute()
@@ -208,15 +223,30 @@ class DesignMatrixCache:
             if key not in self._entries:
                 self._entries[key] = result
                 self._bytes += result.nbytes
+                self._unhit[key] = result.nbytes
+                self._unhit_bytes += result.nbytes
                 self._evict_locked()
         return result
 
+    def _drop_locked(self, key: CacheKey) -> bool:
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return False
+        self._bytes -= entry.nbytes
+        self._unhit_bytes -= self._unhit.pop(key, 0)
+        return True
+
     def _evict_locked(self) -> None:
-        while self._entries and (
-            len(self._entries) > self.max_entries or self._bytes > self.max_bytes
-        ):
-            _, dropped = self._entries.popitem(last=False)
-            self._bytes -= dropped.nbytes
+        while True:
+            if len(self._unhit) > 1 and self._unhit_bytes > self.max_bytes // 8:
+                oldest = next(iter(self._unhit))
+            elif self._entries and (
+                len(self._entries) > self.max_entries or self._bytes > self.max_bytes
+            ):
+                oldest = next(iter(self._entries))
+            else:
+                return
+            self._drop_locked(oldest)
             self.evictions += 1
             metrics.increment("design_cache.evictions")
 

@@ -49,6 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..basis import OrthonormalBasis
 from ..faults import Deadline
 from ..regression.base import FittedModel
 from ..runtime.metrics import metrics
@@ -111,6 +112,9 @@ class JournalFollower:
         self.should_replicate = should_replicate
         self._offset = 0
         self._generation: Optional[int] = None
+        # One rebuilt basis per basis digest, shared by every version
+        # applied with it, instead of one per version.
+        self._bases: Dict[str, OrthonormalBasis] = {}
         self._lock = named_lock("serving.shard.follower")
 
     @property
@@ -199,7 +203,11 @@ class JournalFollower:
         except CorruptRecordError:
             metrics.increment("serving.shard.replica_corrupt")
             return False
-        model = FittedModel(record.basis(), record.coefficients)
+        with self._lock:
+            basis = self._bases.get(record.basis_digest)
+            if basis is None:
+                basis = self._bases[record.basis_digest] = record.basis()
+        model = FittedModel(basis, record.coefficients)
         self.registry.restore(
             record.name, record.version, record.key, record.published_at, model
         )

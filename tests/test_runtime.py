@@ -140,6 +140,41 @@ class TestDesignMatrixCache:
         assert len(cache) == 1
         assert cache.nbytes == one_entry
 
+    def test_never_hit_entries_hold_an_eighth_of_the_bytes(self):
+        one_entry = np.ones((8, 8)).nbytes
+        cache = self.make_cache(max_entries=100, max_bytes=32 * one_entry)
+        for key in range(10):
+            cache.get_or_compute((key,), lambda: np.ones((8, 8)))
+        # 4 one-off entries fill the eighth; the 6 oldest made room.
+        assert len(cache) == 4
+        assert cache.evictions == 6
+        assert cache.nbytes == 4 * one_entry
+        cache.get_or_compute((9,), lambda: np.ones((8, 8)))
+        assert cache.hits == 1
+
+    def test_hit_entry_outlives_a_stream_of_one_off_entries(self):
+        one_entry = np.ones((8, 8)).nbytes
+        cache = self.make_cache(max_entries=100, max_bytes=32 * one_entry)
+        cache.get_or_compute(("hot",), lambda: np.ones((8, 8)))
+        cache.get_or_compute(("hot",), lambda: np.ones((8, 8)))
+        for key in range(10):
+            cache.get_or_compute((key,), lambda: np.ones((8, 8)))
+        assert len(cache) == 5
+        cache.get_or_compute(("hot",), lambda: np.ones((8, 8)))
+        assert cache.hits == 2 and cache.misses == 11
+
+    def test_newest_never_hit_entry_stays_even_past_its_share(self):
+        one_entry = np.ones((8, 8)).nbytes
+        cache = self.make_cache(max_bytes=4 * one_entry)
+        cache.get_or_compute(("a",), lambda: np.ones((8, 8)))
+        assert len(cache) == 1
+        cache.get_or_compute(("a",), lambda: np.ones((8, 8)))
+        assert cache.hits == 1
+        cache.get_or_compute(("b",), lambda: np.ones((8, 8)))
+        cache.get_or_compute(("c",), lambda: np.ones((8, 8)))
+        # "a" was hit, so only the older one-off "b" made room for "c".
+        assert len(cache) == 2 and cache.evictions == 1
+
     def test_oversized_result_computed_but_not_stored(self):
         cache = self.make_cache(max_bytes=64)
         result = cache.get_or_compute(("big",), lambda: np.ones((8, 8)))

@@ -104,6 +104,29 @@ class TestJournalFollower:
         assert replica.snapshot() == primary.snapshot()
         assert replica.current("power").version == 2
 
+    def test_versions_with_one_basis_share_it(self, store):
+        primary = ModelRegistry(store=store)
+        replica = ModelRegistry()
+        follower = JournalFollower(store, replica)
+        primary.publish("power", make_model(seed=1))
+        primary.publish("power", make_model(seed=2))
+        primary.publish("delay", make_model(seed=3))
+        assert follower.poll() == 3
+        bases = [
+            record.model.basis
+            for name in ("power", "delay")
+            for record in replica.versions(name)
+        ]
+        assert len(bases) == 3
+        assert all(basis is bases[0] for basis in bases)
+        assert bases[0] == make_basis()
+        x = np.random.default_rng(4).normal(size=(5, NUM_VARS))
+        for name in ("power", "delay"):
+            assert np.array_equal(
+                replica.current(name).model.predict(x),
+                primary.current(name).model.predict(x),
+            )
+
     def test_should_replicate_filters_names(self, store):
         primary = ModelRegistry(store=store)
         replica = ModelRegistry()
