@@ -1,14 +1,15 @@
-"""Backend benchmark: fused serving kernel and compiled assembly.
+"""Serving benchmark: the fused design-predict kernel.
 
 Measures end-to-end prediction (design-matrix assembly + coefficient
 matvec) at the paper's "large" working point -- R = 100 variables,
-K = 2000 samples, M = 5151 quadratic basis functions -- on the serving
-paths introduced with :mod:`repro.backends`:
+K = 2000 samples, M = 5151 quadratic basis functions -- on these serving
+paths:
 
-* ``loop``:      the pre-vectorization per-column loop followed by a
-                 matvec (the historical baseline);
+* ``loop``:      the test oracle's per-column loop
+                 (``repro.backends.oracle.oracle_design_matrix``) followed
+                 by a matvec;
 * ``fused hot``: ``OrthonormalBasis.fused_predict`` on a warm design
-                 cache -- one dispatch, a single matvec on the cached
+                 cache -- one call, a single matvec on the cached
                  read-only matrix;
 * ``fused cold``: ``fused_predict`` with the cache disabled -- the
                  streaming kernel that never materializes the K x M
@@ -23,11 +24,6 @@ above the previous 5.0x cached-design bar of
 streaming fused kernel must beat the materialize-then-matvec cold path by
 **1.3x** (measured ~1.9x: it saves writing and re-reading the 82 MB
 intermediate).
-
-``test_numba_cold_assembly_speedup`` additionally pins the numba backend's
-parallel-JIT assembly to >= 2.0x over numpy's cold assembly at the same
-working point; it skips where the numba extra is not installed (the CI
-backend matrix runs it and archives the numbers).
 """
 
 import time
@@ -35,23 +31,20 @@ import time
 import numpy as np
 
 from conftest import save_result
-from repro.backends import backend_available, backend_unavailable_reason, use_backend
+from repro.backends.oracle import oracle_design_matrix
 from repro.basis import OrthonormalBasis
 from repro.runtime import DesignMatrixCache, set_design_cache
-
-import pytest
 
 R = 100
 K = 2000
 DEGREE = 2
 REPEATS = 3
 
-#: The fused cached serving bar; the pre-backend cached-design bar was 5.0x.
+#: The fused cached serving bar; the cached-design bar of
+#: test_runtime_vectorization.py is 5.0x.
 FUSED_HOT_BAR = 8.0
-#: Streaming fused kernel vs. materialize-then-matvec on the same backend.
+#: Streaming fused kernel vs. materialize-then-matvec.
 FUSED_COLD_BAR = 1.3
-#: numba parallel-JIT cold assembly vs. numpy cold assembly (CI matrix only).
-NUMBA_COLD_BAR = 2.0
 
 
 def _best_of(repeats, fn):
@@ -71,7 +64,7 @@ def test_fused_serving_kernel_speedup(benchmark):
 
     def run():
         loop_seconds, reference = _best_of(
-            REPEATS, lambda: basis._design_matrix_loop(x) @ coefficients
+            REPEATS, lambda: oracle_design_matrix(basis, x) @ coefficients
         )
 
         # Hot serving: warm cache, fused_predict is one matvec per call.
@@ -135,46 +128,3 @@ def test_fused_serving_kernel_speedup(benchmark):
     ]
     save_result("backend_speedup", "\n".join(lines))
 
-
-def test_numba_cold_assembly_speedup(benchmark):
-    if not backend_available("numba"):
-        pytest.skip(backend_unavailable_reason("numba"))
-    basis = OrthonormalBasis.total_degree(R, DEGREE)
-    x = np.random.default_rng(42).standard_normal((K, R))
-
-    def run():
-        previous = set_design_cache(None)
-        try:
-            with use_backend("numpy"):
-                numpy_seconds, reference = _best_of(
-                    REPEATS, lambda: basis.design_matrix(x)
-                )
-            with use_backend("numba"):
-                basis.design_matrix(x)  # JIT warm-up compile
-                numba_seconds, compiled = _best_of(
-                    REPEATS, lambda: basis.design_matrix(x)
-                )
-        finally:
-            set_design_cache(previous)
-        return {
-            "numpy_seconds": numpy_seconds,
-            "numba_seconds": numba_seconds,
-            "speedup": numpy_seconds / numba_seconds,
-            "reference": reference,
-            "compiled": compiled,
-        }
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    assert np.allclose(result["compiled"], result["reference"])
-    assert result["speedup"] >= NUMBA_COLD_BAR, (
-        f"numba cold assembly only {result['speedup']:.2f}x over numpy "
-        f"(bar: {NUMBA_COLD_BAR}x)"
-    )
-    save_result(
-        "backend_numba_assembly",
-        f"Numba cold design-matrix assembly, R = {R}, K = {K}, "
-        f"M = {basis.size}: numpy {result['numpy_seconds'] * 1e3:.2f} ms, "
-        f"numba {result['numba_seconds'] * 1e3:.2f} ms "
-        f"({result['speedup']:.2f}x, bar {NUMBA_COLD_BAR}x)",
-    )

@@ -4,8 +4,8 @@ Measures quadratic-basis design-matrix assembly at the paper's "large"
 working point -- R = 100 variables, K = 2000 Monte Carlo samples,
 M = 5151 basis functions -- three ways:
 
-* ``loop``:       the pre-PR per-column Python loop
-  (kept as ``OrthonormalBasis._design_matrix_loop`` for reference);
+* ``loop``:       the per-column Python loop of the test oracle
+  (``repro.backends.oracle.oracle_design_matrix``);
 * ``vectorized``: one cold pass through the blocked gather-product assembly
   (cache bypassed);
 * ``cached``:     the production ``design_matrix`` entry point on repeated
@@ -13,7 +13,7 @@ M = 5151 basis functions -- three ways:
   cross-validation sweep and the multi-metric cost runners, where the pool
   is fixed and the matrix is re-requested per metric / per method.
 
-Assertions: the served (cached) path is >= 5x faster than the pre-PR loop,
+Assertions: the served (cached) path is >= 5x faster than the loop,
 a single cold vectorized pass is >= 1.3x faster, and both produce the same
 matrix to ``np.allclose`` tolerance.  On this box the cold pass is bounded
 below by pure memory bandwidth (the 82 MB output is written once and
@@ -30,6 +30,7 @@ import time
 import numpy as np
 
 from conftest import save_result
+from repro.backends.oracle import oracle_design_matrix
 from repro.basis import OrthonormalBasis
 from repro.regression import FittedModel
 from repro.runtime import DesignMatrixCache, set_design_cache
@@ -57,8 +58,10 @@ def test_design_matrix_vectorization_speedup(benchmark):
     x = np.random.default_rng(42).standard_normal((K, R))
 
     def run():
-        # Pre-PR reference: one Python-level loop iteration per basis column.
-        loop_seconds, reference = _best_of(REPEATS, lambda: basis._design_matrix_loop(x))
+        # Reference: one Python-level loop iteration per basis column.
+        loop_seconds, reference = _best_of(
+            REPEATS, lambda: oracle_design_matrix(basis, x)
+        )
 
         # Cold vectorized assembly, cache bypassed.
         previous = set_design_cache(None)
@@ -104,7 +107,7 @@ def test_design_matrix_vectorization_speedup(benchmark):
     lines = [
         "Design-matrix assembly: quadratic basis, "
         f"R = {R}, K = {K}, M = {basis.size}",
-        f"  per-column loop (pre-PR)   {result['loop_seconds'] * 1e3:9.2f} ms",
+        f"  per-column loop (oracle)   {result['loop_seconds'] * 1e3:9.2f} ms",
         f"  vectorized, cold           {result['cold_seconds'] * 1e3:9.2f} ms"
         f"   ({result['cold_speedup']:.2f}x)",
         f"  cached serving path        {result['served_seconds'] * 1e3:9.2f} ms"
@@ -129,7 +132,9 @@ def test_store_backed_serving_path_keeps_speedup(benchmark, tmp_path):
     coefficients = np.random.default_rng(7).standard_normal(basis.size)
 
     def run():
-        loop_seconds, reference = _best_of(REPEATS, lambda: basis._design_matrix_loop(x))
+        loop_seconds, reference = _best_of(
+            REPEATS, lambda: oracle_design_matrix(basis, x)
+        )
 
         store = ModelStore(tmp_path / "store")  # durability on: real fsyncs
         registry = ModelRegistry(store=store)
@@ -174,17 +179,19 @@ def test_store_backed_serving_path_keeps_speedup(benchmark, tmp_path):
 def test_linear_design_matrix_vectorization(benchmark):
     """Linear bases (the SRAM path's 66k-variable regime) must not regress.
 
-    Both the old per-column loop and the new two-assignment gather move the
-    same ``K x (R + 1)`` floats, so at this shape the assembly is purely
-    memory-bound; the vectorized path removes the Python per-column
-    overhead but cannot beat bandwidth.  Assert parity-or-better plus exact
+    The oracle's per-column loop and the production two-assignment gather
+    produce the same ``K x (R + 1)`` floats; at this shape the assembly is
+    memory-bound, and the gather removes the loop's per-column Python
+    overhead and temporaries.  Assert parity-or-better plus bitwise
     agreement.
     """
     basis = OrthonormalBasis.linear(4000)
     x = np.random.default_rng(43).standard_normal((500, 4000))
 
     def run():
-        loop_seconds, reference = _best_of(REPEATS, lambda: basis._design_matrix_loop(x))
+        loop_seconds, reference = _best_of(
+            REPEATS, lambda: oracle_design_matrix(basis, x)
+        )
         previous = set_design_cache(None)
         try:
             fast_seconds, fast = _best_of(REPEATS, lambda: basis.design_matrix(x))
@@ -200,7 +207,7 @@ def test_linear_design_matrix_vectorization(benchmark):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    assert np.allclose(result["fast"], result["reference"])
+    assert np.array_equal(result["fast"], result["reference"])
     assert result["speedup"] >= 0.9, f"linear path regressed: {result['speedup']:.2f}x"
     save_result(
         "runtime_linear_design",

@@ -21,6 +21,7 @@ import time
 import numpy as np
 
 from conftest import save_result
+from repro.backends.oracle import oracle_design_matrix
 from repro.basis import OrthonormalBasis
 from repro.regression import FittedModel
 from repro.runtime import DesignMatrixCache, set_design_cache
@@ -122,7 +123,7 @@ def test_compacted_store_serving_path_keeps_speedup(benchmark, tmp_path):
 
     def run():
         loop_seconds, reference = _best_of(
-            REPEATS, lambda: basis._design_matrix_loop(x)
+            REPEATS, lambda: oracle_design_matrix(basis, x)
         )
 
         store = ModelStore(tmp_path / "store")  # durability on: real fsyncs

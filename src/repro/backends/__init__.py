@@ -1,80 +1,106 @@
-"""Multi-backend compiled hot paths.
+"""Dtype policy and conformance tolerances of the numeric hot paths.
 
-``repro.backends`` is the registry-based seam the numeric hot paths
-dispatch through: design-matrix gather/product assembly and the fused
-design-matrix -> predict serving kernel
-(:meth:`repro.basis.OrthonormalBasis.design_matrix` /
-:meth:`~repro.basis.OrthonormalBasis.fused_predict`), the Gram kernels
+The hot paths -- design-matrix assembly and the fused design-matrix ->
+predict serving kernel (:meth:`repro.basis.OrthonormalBasis.design_matrix`
+/ :meth:`~repro.basis.OrthonormalBasis.fused_predict`), the Gram kernels
 (:func:`repro.linalg.gram_kernel` / :func:`~repro.linalg.extend_gram_kernel`),
-the Woodbury solve (:func:`repro.linalg.solve_diag_plus_gram` when K < M),
-and the bordered-Cholesky updates (:class:`repro.linalg.CholeskyFactor`).
+the Woodbury solve and the bordered-Cholesky updates
+(:class:`repro.linalg.CholeskyFactor`) -- call numpy and scipy directly.
+This package holds what they share: the dtypes they may run in, the
+float32 serving bound, and the :data:`TOLERANCES` the differential
+conformance suite holds them to against the bitwise-deterministic float64
+oracle (:mod:`repro.backends.oracle`).  See ``docs/backends.md``.
 
-Three backends ship:
-
-* ``numpy`` (default, always available) -- the canonical bits;
-* ``numba`` (optional extra) -- parallel-JIT assembly and fused kernels;
-* ``torch`` (optional extra) -- tensor kernels end to end, CPU or GPU.
-
-Select with ``REPRO_BACKEND=<name>`` in the environment, process-wide via
-:func:`set_backend`, or scoped via :func:`use_backend`.  A requested
-backend whose extra is missing falls back to numpy gracefully (counted as
-``backends.fallbacks``).  Every backend is held to the documented
-:data:`TOLERANCES` against the bitwise-deterministic float64 oracle
-(:mod:`repro.backends.oracle`) by the differential conformance suite; see
-``docs/backends.md`` for the selection/fallback runbook and the tolerance
-table, including the opt-in float32 serving mode.
+Dtype policy: hot paths run in ``float64`` (default) or the opt-in
+``float32`` serving mode.  Solvers always *accumulate* in float64 --
+``float32`` governs the design/serving data, never the K x K factorization
+-- which is why the float32 tolerance row stays small.
 """
 
-from .base import (
-    FLOAT32_SERVING_RTOL,
-    SUPPORTED_DTYPES,
-    TOLERANCES,
-    Backend,
-    ToleranceSpec,
-    resolve_dtype,
-)
-from .numba_backend import NumbaBackend
-from .numpy_backend import NumpyBackend
-from .registry import (
-    BACKEND_ENV_VAR,
-    active_backend_name,
-    available_backends,
-    backend_available,
-    backend_unavailable_reason,
-    describe_selection,
-    get_backend,
-    register_backend,
-    registered_backends,
-    reset_backend_selection,
-    set_backend,
-    use_backend,
-)
-from .torch_backend import TorchBackend
+from __future__ import annotations
 
-register_backend(NumpyBackend)
-register_backend(NumbaBackend)
-register_backend(TorchBackend)
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "Backend",
     "FLOAT32_SERVING_RTOL",
-    "NumbaBackend",
-    "NumpyBackend",
     "SUPPORTED_DTYPES",
     "TOLERANCES",
-    "TorchBackend",
     "ToleranceSpec",
-    "active_backend_name",
-    "available_backends",
-    "backend_available",
-    "backend_unavailable_reason",
     "describe_selection",
-    "get_backend",
-    "register_backend",
-    "registered_backends",
-    "reset_backend_selection",
     "resolve_dtype",
-    "set_backend",
-    "use_backend",
 ]
+
+#: Dtypes the hot paths may run in; everything else is rejected up front.
+SUPPORTED_DTYPES: Tuple[np.dtype, ...] = (np.dtype(np.float64), np.dtype(np.float32))
+
+#: Default relative bound for the float32 serving mode: fused float32
+#: predictions must stay within this inf-norm-relative distance of the
+#: float64 reference (enforced via ``repro.analysis.contracts.check_close``
+#: when ``REPRO_CONTRACTS`` is on; see docs/backends.md for the
+#: per-testbench table).
+FLOAT32_SERVING_RTOL = 1e-4
+
+
+def resolve_dtype(dtype: Optional[object]) -> np.dtype:
+    """Normalize a user-facing dtype argument (``None`` means float64)."""
+    if dtype is None:
+        return SUPPORTED_DTYPES[0]
+    resolved = np.dtype(dtype)
+    if resolved not in SUPPORTED_DTYPES:
+        supported = ", ".join(str(d) for d in SUPPORTED_DTYPES)
+        raise ValueError(
+            f"unsupported hot-path dtype {resolved}; supported: {supported}"
+        )
+    return resolved
+
+
+@dataclass(frozen=True)
+class ToleranceSpec:
+    """Documented per-operation error bounds of one dtype.
+
+    Each field is an inf-norm relative tolerance against the
+    bitwise-deterministic float64 oracle; ``0.0`` means *bitwise equal*.
+    ``serving`` additionally bounds the fused-kernel predictions and is the
+    contract enforced on the float32 serving path.
+    """
+
+    design: float
+    gram: float
+    solve: float
+    refit: float
+    serving: float
+
+    def for_operation(self, operation: str) -> float:
+        value = getattr(self, operation, None)
+        if value is None:
+            raise KeyError(f"unknown conformance operation {operation!r}")
+        return float(value)
+
+
+#: The documented tolerance table, keyed by dtype name (docs/backends.md
+#: keeps the prose copy; the conformance suite imports this one, so they
+#: cannot drift apart).
+#:
+#: float64 assembly and deterministic-mode contractions are bitwise; the
+#: BLAS (non-deterministic-mode) contractions are held to 1e-12 because
+#: blocking order may differ from the oracle's einsum.
+TOLERANCES: Dict[str, ToleranceSpec] = {
+    "float64": ToleranceSpec(
+        design=0.0, gram=1e-12, solve=1e-9, refit=1e-9, serving=1e-12
+    ),
+    "float32": ToleranceSpec(
+        design=1e-5, gram=1e-5, solve=1e-3, refit=1e-3, serving=FLOAT32_SERVING_RTOL
+    ),
+}
+
+
+def describe_selection() -> Dict[str, object]:
+    """Which numeric implementation runs the hot paths (always numpy).
+
+    Kept for environment fingerprints that record it next to the BLAS
+    library and the numpy/scipy versions.
+    """
+    return {"active": "numpy"}

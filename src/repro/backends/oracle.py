@@ -1,19 +1,15 @@
-"""The bitwise-deterministic float64 oracle for backend conformance.
+"""The bitwise-deterministic float64 oracle of the conformance suite.
 
-Independent reference implementations of every operation the backends
-accelerate, written for auditability rather than speed: a per-column
-Python loop for design-matrix assembly, blocking-stable ``einsum``
-contractions (the PR-3 deterministic mode) for the kernels, and the
-deterministic :class:`~repro.bmf.KernelMapSolver` for MAP solves.  The
-differential conformance suite (``tests/test_backend_conformance.py``)
-holds every registered backend x dtype to the
-:data:`repro.backends.TOLERANCES` bounds against these functions, and pins
-the numpy backend *bitwise* to them on assembly and deterministic-mode
-kernels.
-
-Everything here runs in float64 on the numpy backend regardless of the
-process-wide selection (``use_backend("numpy")`` guards each entry point),
-so the oracle cannot be perturbed by the very backend it is judging.
+Independent reference implementations of every hot-path operation,
+written for auditability rather than speed: a per-column Python loop for
+design-matrix assembly, blocking-stable ``einsum`` contractions (their
+``deterministic=True`` mode) for the Gram kernels, and the deterministic
+:class:`~repro.bmf.KernelMapSolver` for MAP solves.  Everything here runs
+in float64.  The differential conformance suite
+(``tests/test_backend_conformance.py``) holds each hot path at each dtype
+to the :data:`repro.backends.TOLERANCES` bounds against these functions,
+and pins float64 assembly and deterministic-mode kernels *bitwise* to
+them.
 """
 
 from __future__ import annotations
@@ -21,8 +17,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-
-from .registry import use_backend
 
 __all__ = [
     "oracle_design_matrix",
@@ -35,8 +29,9 @@ __all__ = [
 def oracle_design_matrix(basis, x: np.ndarray) -> np.ndarray:
     """Reference assembly of eq. (9): one explicit product per column.
 
-    Bitwise equal to the numpy backend's blocked gather-product assembly
-    (both multiply factors in multi-index order; ``1.0 * v`` is exact).
+    Bitwise equal to :meth:`~repro.basis.OrthonormalBasis.design_matrix`
+    in float64 (both multiply factors in multi-index order; ``1.0 * v`` is
+    exact).
     """
     from ..basis.hermite import hermite_orthonormal_all
 
@@ -77,15 +72,14 @@ def oracle_map_solve(
     """Deterministic-mode dual MAP solve (the PR-3 differential oracle)."""
     from ..bmf.map_estimation import KernelMapSolver
 
-    with use_backend("numpy"):
-        solver = KernelMapSolver(
-            np.asarray(design, dtype=np.float64),
-            np.asarray(target, dtype=np.float64),
-            prior,
-            missing_scale,
-            deterministic=True,
-        )
-        return solver.solve(eta)
+    solver = KernelMapSolver(
+        np.asarray(design, dtype=np.float64),
+        np.asarray(target, dtype=np.float64),
+        prior,
+        missing_scale,
+        deterministic=True,
+    )
+    return solver.solve(eta)
 
 
 def oracle_predict(basis, coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:

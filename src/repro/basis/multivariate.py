@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.contracts import check_array
-from ..backends import get_backend, resolve_dtype
+from ..backends import resolve_dtype
 from ..runtime.cache import design_cache, design_key
 from ..runtime.metrics import metrics
 from .hermite import hermite_orthonormal_all
@@ -147,9 +147,9 @@ class OrthonormalBasis:
         dtype:
             Result dtype: ``None``/float64 (the canonical bits) or float32
             (the opt-in reduced-precision serving mode; see
-            ``docs/backends.md``).  Cache entries are keyed per dtype (and
-            per non-canonical backend), so mixed-precision callers never
-            cross-serve each other's matrices.
+            ``docs/backends.md``).  Cache entries are keyed per dtype, so
+            mixed-precision callers never cross-serve each other's
+            matrices.
 
         Returns
         -------
@@ -166,13 +166,7 @@ class OrthonormalBasis:
             result = self._assemble(x, wanted, out_dtype)
         else:
             signature = None if columns is None else tuple(wanted)
-            key = design_key(
-                self.cache_token(),
-                x,
-                signature,
-                dtype=out_dtype,
-                backend=get_backend().name,
-            )
+            key = design_key(self.cache_token(), x, signature, dtype=out_dtype)
             result = cache.get_or_compute(
                 key, lambda: self._assemble(x, wanted, out_dtype), dtype=out_dtype
             )
@@ -227,7 +221,7 @@ class OrthonormalBasis:
             if plan is None:
                 return np.ones((x.shape[0], len(wanted)), dtype=dtype)
             stacked, gather = plan
-            return get_backend().gather_product(stacked, gather)
+            return self._gather_product(stacked, gather)
 
     def _gather_plan(
         self, x: np.ndarray, wanted: List[int], dtype: np.dtype
@@ -241,15 +235,13 @@ class OrthonormalBasis:
         column layout, samples along the leading axis.  Each output column
         is then a product of ``depth`` columns of that table (zero-padded
         gather rows multiply by the ones column for lower-order terms) --
-        the exact shape every :class:`repro.backends.Backend` implements
-        as ``gather_product`` (blocked take/multiply on numpy, a parallel
-        JIT loop on numba, tensor gathers on torch) and as the fused
-        ``fused_gather_matvec`` serving kernel.
+        the shape :meth:`_gather_product` assembles and the fused
+        :meth:`_fused_gather_matvec` serving kernel consumes.
 
         The recurrence always runs in float64; a float32 plan downcasts
-        the stacked table once, so every backend consumes identical bits.
-        Returns ``None`` when the selection needs no table at all (empty
-        selection or constant-only columns -- the result is all ones).
+        the stacked table once.  Returns ``None`` when the selection needs
+        no table at all (empty selection or constant-only columns -- the
+        result is all ones).
         """
         num_samples = x.shape[0]
         num_cols = len(wanted)
@@ -287,29 +279,65 @@ class OrthonormalBasis:
                 gather[j, level] = 1 + (deg - 1) * num_active + position[var]
         return stacked, gather
 
-    def _design_matrix_loop(
-        self, x: np.ndarray, columns: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """Reference per-column assembly (the pre-vectorization algorithm).
+    # Sample rows are processed in blocks of this size so the per-block
+    # gather buffers (2 x block x C doubles) stay inside the L2 cache;
+    # larger blocks push the gather traffic out to L3/DRAM and measurably
+    # slow the assembly down on memory-bandwidth-bound hosts.
+    _ROW_BLOCK = 8
 
-        Kept for equivalence tests and as the baseline of the
-        design-matrix benchmark; not used on any production path.
+    def _gather_product(self, stacked: np.ndarray, gather: np.ndarray) -> np.ndarray:
+        """Assemble design columns as products of gathered table columns.
+
+        ``stacked`` and ``gather`` are a :meth:`_gather_plan`; returns the
+        ``(K, C)`` design matrix in ``stacked``'s dtype.
         """
-        x = self._coerce_samples(x)
-        wanted = self._resolve_columns(columns)
-        num_samples = x.shape[0]
-        if self.is_linear():
-            return self._linear_design_matrix(x, wanted, np.dtype(np.float64))
-        active_vars = sorted({v for m in wanted for v, _ in self.indices[m]})
-        per_var = {
-            v: hermite_orthonormal_all(self._max_degree, x[:, v]) for v in active_vars
-        }
-        out = np.empty((num_samples, len(wanted)), dtype=float)
-        for j, m in enumerate(wanted):
-            col = np.ones(num_samples, dtype=float)
-            for var, deg in self.indices[m]:
-                col = col * per_var[var][deg]
-            out[:, j] = col
+        num_samples = stacked.shape[0]
+        num_cols, depth = gather.shape
+        dtype = stacked.dtype
+        out = np.empty((num_samples, num_cols), dtype=dtype)
+        block = self._ROW_BLOCK
+        product = np.empty((block, num_cols), dtype=dtype)
+        factor = np.empty((block, num_cols), dtype=dtype)
+        first = gather[:, 0]
+        middle = [gather[:, level] for level in range(1, depth - 1)]
+        last = gather[:, depth - 1] if depth > 1 else None
+        for k0 in range(0, num_samples, block):
+            k1 = min(k0 + block, num_samples)
+            rows = k1 - k0
+            sub = stacked[k0:k1]
+            if last is None:
+                np.take(sub, first, axis=1, out=out[k0:k1])
+                continue
+            np.take(sub, first, axis=1, out=product[:rows])
+            for level_cols in middle:
+                np.take(sub, level_cols, axis=1, out=factor[:rows])
+                product[:rows] *= factor[:rows]
+            np.take(sub, last, axis=1, out=factor[:rows])
+            np.multiply(product[:rows], factor[:rows], out=out[k0:k1])
+        return out
+
+    def _fused_gather_matvec(
+        self, stacked: np.ndarray, gather: np.ndarray, coefficients: np.ndarray
+    ) -> np.ndarray:
+        """Blocked assembly-and-dot: only a ``block x C`` scratch is live."""
+        num_samples = stacked.shape[0]
+        num_cols, depth = gather.shape
+        dtype = stacked.dtype
+        out = np.empty(num_samples, dtype=dtype)
+        block = self._ROW_BLOCK
+        product = np.empty((block, num_cols), dtype=dtype)
+        factor = np.empty((block, num_cols), dtype=dtype)
+        first = gather[:, 0]
+        rest = [gather[:, level] for level in range(1, depth)]
+        for k0 in range(0, num_samples, block):
+            k1 = min(k0 + block, num_samples)
+            rows = k1 - k0
+            sub = stacked[k0:k1]
+            np.take(sub, first, axis=1, out=product[:rows])
+            for level_cols in rest:
+                np.take(sub, level_cols, axis=1, out=factor[:rows])
+                product[:rows] *= factor[:rows]
+            np.dot(product[:rows], coefficients, out=out[k0:k1])
         return out
 
     def _linear_design_matrix(
@@ -341,15 +369,15 @@ class OrthonormalBasis:
     ) -> np.ndarray:
         """Fused design-matrix -> prediction serving kernel.
 
-        Computes ``design_matrix(x) @ coefficients`` in one backend
-        dispatch.  On a design-cache hit the cached matrix feeds a single
-        ``matvec`` (no re-assembly); on a cache miss for a cacheable size
-        the matrix is materialized once, cached for the next batch of the
-        same samples, and consumed by the same ``matvec``.  Below the
-        cache's ``min_result_cells`` threshold -- the common serving
-        micro-batch -- the backend's ``fused_gather_matvec`` streams
-        block-sized slices of the assembly straight into the dot product,
-        so no ``K x M`` intermediate is ever materialized.
+        Computes ``design_matrix(x) @ coefficients`` in one call.  On a
+        design-cache hit the cached matrix feeds a single matvec (no
+        re-assembly); on a cache miss for a cacheable size the matrix is
+        materialized once, cached for the next batch of the same samples,
+        and consumed by the same matvec.  Below the cache's
+        ``min_result_cells`` threshold -- the common serving micro-batch --
+        :meth:`_fused_gather_matvec` streams block-sized slices of the
+        assembly straight into the dot product, so no ``K x M``
+        intermediate is ever materialized.
 
         ``dtype`` selects the serving precision (``None``/float64 or the
         opt-in float32 mode bounded by
@@ -364,29 +392,26 @@ class OrthonormalBasis:
                 f"expected {self.size} coefficients, got shape {coefficients.shape}"
             )
         metrics.increment("backends.fused_predicts")
-        backend = get_backend()
         cache = design_cache()
         wanted = list(range(self.size))
         if (
             cache is not None
             and x.shape[0] * max(self.size, 1) >= cache.min_result_cells
         ):
-            key = design_key(
-                self.cache_token(), x, None, dtype=out_dtype, backend=backend.name
-            )
+            key = design_key(self.cache_token(), x, None, dtype=out_dtype)
             design = cache.get_or_compute(
                 key, lambda: self._assemble(x, wanted, out_dtype), dtype=out_dtype
             )
-            return backend.matvec(design, coefficients)
+            return design @ coefficients
         if self.is_linear():
             design = self._linear_design_matrix(x, wanted, out_dtype)
-            return backend.matvec(design, coefficients)
+            return design @ coefficients
         plan = self._gather_plan(x, wanted, out_dtype)
         if plan is None:
             design = np.ones((x.shape[0], self.size), dtype=out_dtype)
-            return backend.matvec(design, coefficients)
+            return design @ coefficients
         stacked, gather = plan
-        return backend.fused_gather_matvec(stacked, gather, coefficients)
+        return self._fused_gather_matvec(stacked, gather, coefficients)
 
     def evaluate(self, coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Evaluate ``sum_m alpha_m g_m(x)`` for each row of ``x`` (eq. 2)."""

@@ -30,8 +30,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+import scipy.linalg
 
-from ..backends import get_backend
 from ..faults import failpoint
 from .numerics import is_effectively_zero
 from .solvers import SolverError, solve_spd
@@ -123,16 +123,13 @@ def solve_diag_plus_gram(
         raise ValueError(f"scale must be positive, got {scale}")
     if _primal_is_smaller(design):
         return solve_spd(_primal_system(diag, design, scale), rhs)
-    backend = get_backend()
     inv_diag = 1.0 / diag
     base = inv_diag * rhs
     scaled_design = design * inv_diag  # G A^{-1}, shape (K, M)
     num_samples = design.shape[0]
-    capacitance = np.eye(num_samples) + scale * backend.matmul_t(
-        scaled_design, design
-    )
-    correction = solve_spd(capacitance, backend.matvec(design, base))
-    return base - scale * inv_diag * backend.matvec(design.T, correction)
+    capacitance = np.eye(num_samples) + scale * (scaled_design @ design.T)
+    correction = solve_spd(capacitance, design @ base)
+    return base - scale * inv_diag * (design.T @ correction)
 
 
 def solve_diag_plus_gram_direct(
@@ -208,14 +205,10 @@ def _gram_product(left: np.ndarray, right: np.ndarray, deterministic: bool) -> n
     per-element reduction over the contracted axis is independent of the
     operand extents -- every entry of ``B`` is then bitwise identical no
     matter how the rows arrived (one at a time, in batches, or all at once).
-
-    The non-deterministic (fast) path dispatches through the active
-    :mod:`repro.backends` backend; deterministic mode always runs the
-    einsum locally so its bits cannot depend on the backend selection.
     """
     if deterministic:
         return np.einsum("im,jm->ij", left, right, optimize=False)
-    return get_backend().matmul_t(left, right)
+    return left @ right.T
 
 
 def _mirror_lower(block: np.ndarray) -> np.ndarray:
@@ -431,9 +424,10 @@ class CholeskyFactor:
             )
         _FP_CHOLESKY.hit()
         # W = L^{-1} cross, then Schur complement S = corner - W^T W.
-        backend = get_backend()
-        wide = backend.triangular_solve(self._lower, cross)
-        schur = corner - backend.matmul_t(wide.T, wide.T)
+        wide = scipy.linalg.solve_triangular(
+            self._lower, cross, lower=True, check_finite=False
+        )
+        schur = corner - wide.T @ wide
         pivot_scale = max(
             float(np.max(np.abs(corner), initial=0.0)),
             float(np.max(self._lower[np.diag_indices(size)], initial=0.0)) ** 2,
@@ -468,6 +462,9 @@ class CholeskyFactor:
             raise ValueError(
                 f"rhs length {rhs.shape[0]} does not match factor size {self.size}"
             )
-        backend = get_backend()
-        forward = backend.triangular_solve(self._lower, rhs)
-        return backend.triangular_solve(self._lower, forward, trans=True)
+        forward = scipy.linalg.solve_triangular(
+            self._lower, rhs, lower=True, check_finite=False
+        )
+        return scipy.linalg.solve_triangular(
+            self._lower.T, forward, lower=False, check_finite=False
+        )

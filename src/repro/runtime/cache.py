@@ -50,10 +50,6 @@ __all__ = [
 
 CacheKey = Tuple[Hashable, ...]
 
-#: The canonical backend whose float64 results define the reference bits;
-#: entries computed by it need no backend tag in their key.
-_CANONICAL_BACKEND = "numpy"
-
 
 def fingerprint_array(x: np.ndarray) -> Tuple[Hashable, ...]:
     """Value fingerprint of a float array: shape plus a content digest."""
@@ -67,22 +63,15 @@ def design_key(
     x: np.ndarray,
     signature: Optional[Tuple[int, ...]],
     dtype: "np.dtype" = np.dtype(np.float64),
-    backend: str = _CANONICAL_BACKEND,
 ) -> CacheKey:
     """Cache key for one assembled design matrix.
 
     Value identity (basis digest + sample fingerprint + column signature)
-    is joined by *numeric* identity: the result dtype always participates
-    -- a float32 and a float64 assembly of the same samples are different
-    arrays and must never collide or cross-serve -- and the backend name
-    participates whenever the active backend is not the canonical numpy
-    one, whose bits non-canonical backends are not required to reproduce
-    exactly.
+    is joined by the result dtype: a float32 and a float64 assembly of the
+    same samples are different arrays and must never collide or
+    cross-serve.
     """
-    key: CacheKey = (basis_token, fingerprint_array(x), signature, np.dtype(dtype).str)
-    if backend != _CANONICAL_BACKEND:
-        key = key + (backend,)
-    return key
+    return (basis_token, fingerprint_array(x), signature, np.dtype(dtype).str)
 
 
 class DesignMatrixCache:

@@ -35,11 +35,9 @@ __all__ = [
 
 #: Counter names -> one-line description (what one increment means).
 METRICS: Dict[str, str] = {
-    "backends.fallbacks": "backend resolutions that fell back to numpy",
     "backends.float32_bound_checks": "float32 serving batches checked against the float64 bound",
     "backends.float32_serves": "serving batches evaluated in float32",
     "backends.fused_predicts": "predictions served through the fused design-predict kernel",
-    "backends.selections": "process-wide backend resolutions performed",
     "bmf.cv_eigendecompositions": "fold kernels eigendecomposed after a BMF cross-validation Cholesky failed",
     "bmf.cv_evaluations": "candidate models scored during BMF cross-validation",
     "bmf.cv_factorizations": "fold systems eta I + B_TT factored during BMF cross-validation",

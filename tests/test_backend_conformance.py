@@ -1,33 +1,19 @@
-"""Cross-backend differential conformance suite.
+"""Differential conformance suite for the numeric hot paths.
 
-Every registered backend x {float64, float32} is driven over the hot-path
-operations -- design-matrix assembly, Gram kernels, MAP solves, incremental
-Woodbury refits, and fused serving predictions -- and compared to the
+Each hot-path operation -- design-matrix assembly, Gram kernels, MAP
+solves, incremental Woodbury refits, and fused serving predictions -- runs
+once per dtype in {float64, float32} and is compared to the
 bitwise-deterministic float64 oracle (:mod:`repro.backends.oracle`) within
 the documented tolerance table (:data:`repro.backends.TOLERANCES`, whose
 prose copy lives in ``docs/backends.md``).  A tolerance of ``0.0`` means
-*bitwise equal*; the meta-tests at the bottom pin the numpy backend to the
-oracle's exact bits so the reference itself cannot drift.
-
-Backends whose optional extra is not installed skip with the registry's
-reason text -- unless named in ``REPRO_REQUIRE_BACKENDS`` (comma-separated),
-in which case the guard test FAILS: the CI backend matrix sets that
-variable per job, so a silently-skipped backend can never go green.
+*bitwise equal*; the meta-tests at the bottom pin the float64 hot paths to
+the oracle's exact bits so the reference itself cannot drift.
 """
-
-import os
 
 import numpy as np
 import pytest
 
-from repro.backends import (
-    TOLERANCES,
-    active_backend_name,
-    backend_available,
-    backend_unavailable_reason,
-    registered_backends,
-    use_backend,
-)
+from repro.backends import TOLERANCES
 from repro.backends.oracle import (
     oracle_design_matrix,
     oracle_gram_kernel,
@@ -46,29 +32,15 @@ DTYPES = ("float64", "float32")
 SOLVE_SEEDS = tuple(range(0, 40, 4))
 
 
-def _required_backends():
-    raw = os.environ.get("REPRO_REQUIRE_BACKENDS", "")
-    return tuple(name.strip() for name in raw.split(",") if name.strip())
-
-
-@pytest.fixture(params=sorted(registered_backends()))
-def backend_name(request):
-    name = request.param
-    if not backend_available(name):
-        reason = backend_unavailable_reason(name)
-        if name in _required_backends():
-            pytest.fail(f"required backend unavailable: {reason}")
-        pytest.skip(reason)
-    return name
-
-
-@pytest.fixture(params=DTYPES)
+# The "numpy-" prefix keeps each case's node ID as it was when the suite
+# also ran other numeric implementations, so test histories line up.
+@pytest.fixture(params=DTYPES, ids=lambda name: f"numpy-{name}")
 def dtype(request):
     return np.dtype(request.param)
 
 
-def tolerance(backend_name, dtype, operation):
-    return TOLERANCES[(backend_name, dtype.name)].for_operation(operation)
+def tolerance(dtype, operation):
+    return TOLERANCES[dtype.name].for_operation(operation)
 
 
 def assert_conforms(actual, reference, tol, label):
@@ -95,103 +67,95 @@ def problem():
 
 
 class TestDesignMatrixConformance:
-    def test_assembly_matches_oracle(self, backend_name, dtype, problem):
+    def test_assembly_matches_oracle(self, dtype, problem):
         basis, x, _ = problem
         reference = oracle_design_matrix(basis, x)
-        with use_backend(backend_name):
-            actual = basis.design_matrix(x, dtype=dtype)
+        actual = basis.design_matrix(x, dtype=dtype)
         assert actual.dtype == dtype
-        tol = tolerance(backend_name, dtype, "design")
+        tol = tolerance(dtype, "design")
         # float32 tolerances are measured against the float64 oracle, so
         # the float32 rounding of the reference itself is inside the bound.
-        assert_conforms(actual, reference, tol, f"design[{backend_name}/{dtype}]")
+        assert_conforms(actual, reference, tol, f"design[{dtype}]")
 
-    def test_column_subsets_match_oracle(self, backend_name, dtype, problem):
+    def test_column_subsets_match_oracle(self, dtype, problem):
         basis, x, _ = problem
         columns = list(range(0, basis.size, 3))
         reference = oracle_design_matrix(basis, x)[:, columns]
-        with use_backend(backend_name):
-            actual = basis.design_matrix(x, columns=columns, dtype=dtype)
-        tol = tolerance(backend_name, dtype, "design")
-        assert_conforms(actual, reference, tol, f"design-cols[{backend_name}/{dtype}]")
+        actual = basis.design_matrix(x, columns=columns, dtype=dtype)
+        tol = tolerance(dtype, "design")
+        assert_conforms(actual, reference, tol, f"design-cols[{dtype}]")
 
 
 class TestGramKernelConformance:
-    def test_gram_kernel_matches_oracle(self, backend_name, dtype, problem):
+    def test_gram_kernel_matches_oracle(self, dtype, problem):
         basis, x, _ = problem
         design64 = oracle_design_matrix(basis, x)
         design = design64.astype(dtype)
         rng = np.random.default_rng(5)
         scale_sq = np.abs(rng.standard_normal(basis.size)) + 0.1
         reference = oracle_gram_kernel(design64, scale_sq)
-        with use_backend(backend_name):
-            actual = gram_kernel(design, scale_sq)
-        tol = tolerance(backend_name, dtype, "gram")
-        assert_conforms(actual, reference, tol, f"gram[{backend_name}/{dtype}]")
+        actual = gram_kernel(design, scale_sq)
+        tol = tolerance(dtype, "gram")
+        assert_conforms(actual, reference, tol, f"gram[{dtype}]")
 
-    def test_extend_gram_kernel_matches_oracle(self, backend_name, dtype, problem):
+    def test_extend_gram_kernel_matches_oracle(self, dtype, problem):
         basis, x, _ = problem
         design64 = oracle_design_matrix(basis, x)
         design = design64.astype(dtype)
         split = design.shape[0] // 2
         reference = oracle_gram_kernel(design64)
-        with use_backend(backend_name):
-            base = gram_kernel(design[:split])
-            actual = extend_gram_kernel(base, design[:split], design[split:])
-        tol = tolerance(backend_name, dtype, "gram")
-        assert_conforms(actual, reference, tol, f"extend[{backend_name}/{dtype}]")
+        base = gram_kernel(design[:split])
+        actual = extend_gram_kernel(base, design[:split], design[split:])
+        tol = tolerance(dtype, "gram")
+        assert_conforms(actual, reference, tol, f"extend[{dtype}]")
 
 
 class TestSolveConformance:
     @pytest.mark.parametrize("seed", SOLVE_SEEDS)
-    def test_map_solve_matches_oracle(self, backend_name, dtype, seed):
+    def test_map_solve_matches_oracle(self, dtype, seed):
         _, design64, target, prior, eta, missing_scale = random_config(seed)
         design = design64.astype(dtype)
         reference = oracle_map_solve(design64, target, prior, eta, missing_scale)
-        with use_backend(backend_name):
-            solver = KernelMapSolver(design, target, prior, missing_scale)
-            actual = solver.solve(eta)
-        tol = tolerance(backend_name, dtype, "solve")
-        assert_conforms(actual, reference, tol, f"solve[{backend_name}/{dtype}]")
+        solver = KernelMapSolver(design, target, prior, missing_scale)
+        actual = solver.solve(eta)
+        tol = tolerance(dtype, "solve")
+        assert_conforms(actual, reference, tol, f"solve[{dtype}]")
 
     @pytest.mark.parametrize("seed", SOLVE_SEEDS)
-    def test_incremental_refit_matches_oracle(self, backend_name, dtype, seed):
+    def test_incremental_refit_matches_oracle(self, dtype, seed):
         num_old, design64, target, prior, eta, missing_scale = random_config(seed)
         design = design64.astype(dtype)
         reference = oracle_map_solve(design64, target, prior, eta, missing_scale)
-        with use_backend(backend_name):
-            base = KernelMapSolver(
-                design[:num_old], target[:num_old], prior, missing_scale
-            )
-            grown = base.extended(design[num_old:], target[num_old:])
-            actual = grown.solve(eta)
-        tol = tolerance(backend_name, dtype, "refit")
-        assert_conforms(actual, reference, tol, f"refit[{backend_name}/{dtype}]")
+        base = KernelMapSolver(
+            design[:num_old], target[:num_old], prior, missing_scale
+        )
+        grown = base.extended(design[num_old:], target[num_old:])
+        actual = grown.solve(eta)
+        tol = tolerance(dtype, "refit")
+        assert_conforms(actual, reference, tol, f"refit[{dtype}]")
 
 
 class TestServingConformance:
-    def test_fused_predict_matches_oracle(self, backend_name, dtype, problem):
+    def test_fused_predict_matches_oracle(self, dtype, problem):
         basis, x, coefficients = problem
         reference = oracle_predict(basis, coefficients, x)
-        with use_backend(backend_name):
-            actual = basis.fused_predict(x, coefficients, dtype=dtype)
+        actual = basis.fused_predict(x, coefficients, dtype=dtype)
         assert actual.dtype == dtype
-        tol = tolerance(backend_name, dtype, "serving")
-        assert_conforms(actual, reference, tol, f"serving[{backend_name}/{dtype}]")
+        tol = tolerance(dtype, "serving")
+        assert_conforms(actual, reference, tol, f"serving[{dtype}]")
 
 
 class TestNumpyBitwiseMetaTest:
-    """The canonical backend must reproduce the oracle's exact bits.
+    """The float64 hot paths must reproduce the oracle's exact bits.
 
-    These are the anchors of the whole tolerance table: if numpy/float64
-    drifted from the oracle, every other row would silently be measured
-    against a moved reference.
+    These are the anchors of the whole tolerance table: if float64 drifted
+    from the oracle, the float32 row would silently be measured against a
+    moved reference.
     """
 
     def test_design_assembly_is_bitwise(self, problem):
         basis, x, _ = problem
-        with use_backend("numpy"):
-            actual = basis.design_matrix(x)
+        actual = basis.design_matrix(x)
         assert np.array_equal(actual, oracle_design_matrix(basis, x))
 
     def test_deterministic_gram_is_bitwise(self, problem):
@@ -199,34 +163,15 @@ class TestNumpyBitwiseMetaTest:
         design = oracle_design_matrix(basis, x)
         rng = np.random.default_rng(9)
         scale_sq = np.abs(rng.standard_normal(basis.size)) + 0.1
-        with use_backend("numpy"):
-            actual = gram_kernel(design, scale_sq, deterministic=True)
+        actual = gram_kernel(design, scale_sq, deterministic=True)
         assert np.array_equal(actual, oracle_gram_kernel(design, scale_sq))
 
     @pytest.mark.parametrize("seed", SOLVE_SEEDS[:3])
     def test_deterministic_solve_is_bitwise(self, seed):
         _, design, target, prior, eta, missing_scale = random_config(seed)
-        with use_backend("numpy"):
-            solver = KernelMapSolver(
-                design, target, prior, missing_scale, deterministic=True
-            )
-            actual = solver.solve(eta)
+        solver = KernelMapSolver(
+            design, target, prior, missing_scale, deterministic=True
+        )
+        actual = solver.solve(eta)
         reference = oracle_map_solve(design, target, prior, eta, missing_scale)
         assert np.array_equal(actual, reference)
-
-
-class TestRequiredBackendGuard:
-    """CI matrix guard: required backends must run, not skip."""
-
-    def test_required_backends_are_available(self):
-        for name in _required_backends():
-            assert backend_available(name), backend_unavailable_reason(name)
-
-    def test_required_selection_did_not_fall_back(self):
-        """When the matrix pins REPRO_BACKEND to a required backend, the
-        process-wide selection must resolve to it (no silent numpy
-        fallback turning the whole job into a duplicate numpy run)."""
-        requested = os.environ.get("REPRO_BACKEND", "").strip()
-        if not requested or requested not in _required_backends():
-            pytest.skip("REPRO_BACKEND does not name a required backend")
-        assert active_backend_name() == requested

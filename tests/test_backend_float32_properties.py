@@ -28,7 +28,7 @@ from repro.linalg import extend_gram_kernel, gram_kernel  # noqa: E402
 
 from test_properties_woodbury import random_config  # noqa: E402
 
-FLOAT32_GRAM_RTOL = TOLERANCES[("numpy", "float32")].gram
+FLOAT32_GRAM_RTOL = TOLERANCES["float32"].gram
 
 seeds = st.integers(min_value=0, max_value=2_000)
 

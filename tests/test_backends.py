@@ -1,5 +1,7 @@
-"""Unit tests for the backend registry, dtype-keyed caching, the fused
-serving kernel, and the engine's opt-in float32 serving mode."""
+"""Unit tests for the hot-path dtype policy, dtype-keyed caching, the
+fused serving kernel, and the engine's opt-in float32 serving mode."""
+
+import json
 
 import numpy as np
 import pytest
@@ -9,21 +11,7 @@ from repro.analysis.contracts import (
     check_close,
     contracts_enabled,
 )
-from repro.backends import (
-    Backend,
-    FLOAT32_SERVING_RTOL,
-    available_backends,
-    backend_available,
-    backend_unavailable_reason,
-    describe_selection,
-    get_backend,
-    register_backend,
-    registered_backends,
-    reset_backend_selection,
-    resolve_dtype,
-    set_backend,
-    use_backend,
-)
+from repro.backends import FLOAT32_SERVING_RTOL, describe_selection, resolve_dtype
 from repro.basis import OrthonormalBasis
 from repro.regression import FittedModel
 from repro.runtime import DesignMatrixCache, set_design_cache
@@ -32,107 +20,19 @@ from repro.runtime.metrics import metrics as runtime_metrics
 from repro.serving import ModelRegistry, PredictionEngine
 
 
-@pytest.fixture(autouse=True)
-def _clean_selection():
-    reset_backend_selection()
-    yield
-    reset_backend_selection()
-
-
-class _NeverAvailable(Backend):
-    """A registered-but-unusable backend for exercising fallback paths."""
-
-    name = "test-unavailable"
-
-    @classmethod
-    def available(cls):
-        return False
-
-    @classmethod
-    def unavailable_reason(cls):
-        return "intentionally unavailable (test backend)"
-
-    def gather_product(self, stacked, gather):  # pragma: no cover - never runs
-        raise NotImplementedError
-
-    def fused_gather_matvec(self, stacked, gather, coefficients):  # pragma: no cover
-        raise NotImplementedError
-
-    def matmul_t(self, left, right):  # pragma: no cover - never runs
-        raise NotImplementedError
-
-    def matvec(self, matrix, vector):  # pragma: no cover - never runs
-        raise NotImplementedError
-
-    def triangular_solve(self, lower, rhs, trans=False):  # pragma: no cover
-        raise NotImplementedError
-
-
-register_backend(_NeverAvailable)
-
-
 class TestRegistry:
-    def test_numpy_is_registered_and_available(self):
-        assert "numpy" in registered_backends()
-        assert "numpy" in available_backends()
-        assert backend_available("numpy")
-        assert get_backend("numpy").name == "numpy"
-
-    def test_optional_backends_are_registered_even_if_missing(self):
-        names = registered_backends()
-        assert "numba" in names
-        assert "torch" in names
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("no-such-backend")
-        with pytest.raises(ValueError, match="unknown backend"):
-            set_backend("no-such-backend")
-
-    def test_unavailable_backend_falls_back_and_counts(self):
-        assert not backend_available("test-unavailable")
-        assert "unavailable" in backend_unavailable_reason("test-unavailable")
-        before = runtime_metrics.counters().get("backends.fallbacks", 0)
-        assert get_backend("test-unavailable").name == "numpy"
-        after = runtime_metrics.counters().get("backends.fallbacks", 0)
-        assert after == before + 1
-
-    def test_set_backend_to_unavailable_resolves_to_numpy(self):
-        before = runtime_metrics.counters().get("backends.fallbacks", 0)
-        set_backend("test-unavailable")
-        assert get_backend().name == "numpy"
-        after = runtime_metrics.counters().get("backends.fallbacks", 0)
-        assert after == before + 1
-        description = describe_selection()
-        assert description["requested"] == "test-unavailable"
-        assert description["active"] == "numpy"
-        assert description["fell_back"] is True
-
-    def test_use_backend_restores_previous_selection(self):
-        assert get_backend().name == "numpy"
-        with use_backend("test-unavailable"):
-            assert describe_selection()["requested"] == "test-unavailable"
-        assert describe_selection()["requested"] is None
-
-    def test_env_var_selection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "test-unavailable")
-        reset_backend_selection()
-        assert get_backend().name == "numpy"  # graceful fallback
-        assert describe_selection()["environment"] == "test-unavailable"
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        reset_backend_selection()
-        assert get_backend().name == "numpy"
-        assert describe_selection()["fell_back"] is False
-
-    def test_selection_is_cached_between_calls(self):
-        first = get_backend()
-        assert get_backend() is first
+    """What is left of the backend registry: the dtype policy and the
+    selection report environment fingerprints record."""
 
     def test_resolve_dtype(self):
         assert resolve_dtype(None) == np.dtype(np.float64)
         assert resolve_dtype(np.float32) == np.dtype(np.float32)
         with pytest.raises(ValueError, match="unsupported hot-path dtype"):
             resolve_dtype(np.int32)
+
+    def test_describe_selection_is_json_and_reports_numpy(self):
+        description = json.loads(json.dumps(describe_selection()))
+        assert description["active"] == "numpy"
 
 
 class TestDesignKey:
@@ -141,14 +41,6 @@ class TestDesignKey:
         k64 = design_key("tok", x, None)
         k32 = design_key("tok", x, None, dtype=np.float32)
         assert k64 != k32
-
-    def test_canonical_backend_untagged_others_tagged(self):
-        x = np.zeros((3, 2))
-        base = design_key("tok", x, None)
-        assert design_key("tok", x, None, backend="numpy") == base
-        tagged = design_key("tok", x, None, backend="torch")
-        assert tagged != base
-        assert tagged[-1] == "torch"
 
     def test_new_keys_cannot_collide_with_legacy_triples(self):
         x = np.zeros((3, 2))
