@@ -1,29 +1,46 @@
-"""Cost-comparison runner (Tables IV and VI of the paper).
+"""Experiment runners: the paper's cost comparison and the serving drills.
 
-Compares the traditional flow (OMP on many post-layout samples) against
-BMF-PS with the fast solver on few samples: relative error per metric,
-accounted simulation cost, measured fitting cost, and the total-cost
-speedup -- the paper's headline 9x (RO) and 4x (SRAM) numbers.
+* :func:`run_cost_comparison` -- Tables IV and VI: OMP on many
+  post-layout samples against BMF-PS with the fast solver on few --
+  relative error, simulation and fitting cost, and the total-cost
+  speedup (the paper's headline 9x RO and 4x SRAM numbers).
+* :func:`run_serving_stream` folds late-stage batches into a
+  :class:`~repro.bmf.SequentialBmf`, publishing and serving after each
+  (docs/serving.md); :func:`run_chaos_stream` runs that loop under armed
+  fault plans (docs/faults.md); :func:`run_crash_recovery_stream` kills
+  it mid-publish, recovers from disk and ends with an overload burst.
+* :func:`run_rolling_restart_drill` compacts a sharded fleet and
+  restarts it shard by shard under live traffic (docs/store.md).
+
+The stream runners share one scaffold, :class:`_Stream`: the set-up and
+the refit -> publish -> await tally.  Drill signatures come from
+:func:`repro.runtime.metrics.signature_fields`, the crash drill's burst
+from :func:`repro.loadgen.overload_burst`.  The serving, store and
+loadgen layers are imported inside the runners, so ``import repro``
+does not load them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..bmf import BmfRegressor
+from ..bmf import BmfRegressor, RefitOutcome, SequentialBmf
 from ..circuits.base import Stage, Testbench
 from ..circuits.modeling import FusionProblem
+from ..faults import FaultPlan, SimulatedCrash, inject
 from ..montecarlo import simulate_dataset
 from ..regression import OrthogonalMatchingPursuit, relative_error
 from ..runtime.metrics import (
     counters_delta,
     format_snapshot,
     metrics as runtime_metrics,
+    signature_fields,
     snapshot_delta,
 )
 from .cost import CostReport, SimulationCostModel
@@ -40,6 +57,14 @@ __all__ = [
     "run_rolling_restart_drill",
     "run_serving_stream",
 ]
+
+#: Seconds a drill waits on one request before counting it as failed.
+_REQUEST_TIMEOUT_SECONDS = 30.0
+#: The rolling-restart drill's synthetic models: total degree 2 in 2
+#: variables, compacted mid-drill down to one superseded version per model.
+_DRILL_BASIS_VARS = 2
+_DRILL_BASIS_DEGREE = 2
+_DRILL_HISTORY_WINDOW = 1
 
 
 @dataclass
@@ -194,6 +219,118 @@ def run_cost_comparison(
     )
 
 
+class _Stream:
+    """The scaffold of the three stream runners.
+
+    Construction validates the arguments, fits and aligns the early prior,
+    and simulates the late-stage batches and the test rows.  The chaos and
+    crash drills drive each batch through :meth:`refit`, :meth:`publish`
+    and :meth:`serve`, which count every outcome.  ``sequential_kwargs``
+    overrides the fitter defaults wholesale: with a fixed eta, injected
+    solver faults are absorbed by the woodbury fallback.
+    """
+
+    def __init__(
+        self,
+        testbench: Testbench,
+        metric: str,
+        batch_sizes: Sequence[int],
+        requests_per_batch: int,
+        rng: np.random.Generator,
+        test_size: int,
+        early_samples: int,
+        sequential_kwargs: Optional[Dict[str, object]] = None,
+    ) -> None:
+        batch_sizes = tuple(int(b) for b in batch_sizes)
+        if not batch_sizes or any(b <= 0 for b in batch_sizes):
+            raise ValueError(f"batch_sizes must be positive, got {batch_sizes}")
+        if requests_per_batch < 1:
+            raise ValueError(
+                f"requests_per_batch must be >= 1, got {requests_per_batch}"
+            )
+        problem = FusionProblem(testbench, metric)
+        alpha_early = problem.fit_early_model(early_samples, rng)
+        #: Builds a fresh sequential fitter on the aligned early prior.
+        self.fitter = functools.partial(
+            SequentialBmf,
+            problem.late_basis,
+            problem.align_early_coefficients(alpha_early),
+            missing_indices=problem.missing_indices(),
+            **{"prior_kind": "select", **(sequential_kwargs or {})},
+        )
+        pool = simulate_dataset(
+            testbench, Stage.POST_LAYOUT, sum(batch_sizes), rng, (metric,)
+        )
+        self.test = simulate_dataset(
+            testbench, Stage.POST_LAYOUT, test_size, rng, (metric,)
+        )
+        target = pool.metric(metric)
+        #: ``(x, f)`` per arriving batch.
+        self.batches = [
+            (pool.x[end - size : end], target[end - size : end])
+            for size, end in zip(batch_sizes, np.cumsum(batch_sizes))
+        ]
+        self.name = metric
+        self.batch_sizes = batch_sizes
+        self._requests_per_batch = requests_per_batch
+        self._rng = rng
+        self.refit_outcomes: List[RefitOutcome] = []
+        self.publish_attempts = self.publish_rejections = 0
+        self.answered = self.failed = self.skipped = 0
+
+    def refit(self, fitter: SequentialBmf, x: np.ndarray, f: np.ndarray) -> bool:
+        """Fold one batch in; a failed refit rolls back and returns False."""
+        outcome = fitter.try_add_samples(x, f)
+        self.refit_outcomes.append(outcome)
+        return outcome.ok
+
+    def publish(self, registry, fitter: SequentialBmf) -> bool:
+        """Publish ``fitter``; False if the registry rejected it."""
+        from ..serving import PublishRejectedError
+
+        self.publish_attempts += 1
+        try:
+            registry.publish(self.name, fitter)
+        except PublishRejectedError:
+            self.publish_rejections += 1
+            return False
+        return True
+
+    def serve(self, engine, registry) -> None:
+        """Draw ``requests_per_batch`` test rows and await each request in
+        turn: concurrent submission would make batch composition, and
+        hence every counter, timing-dependent."""
+        rows = self._rng.integers(0, len(self.test.x), size=self._requests_per_batch)
+        if self.name not in registry:
+            # Nothing servable yet (every publish so far failed); the
+            # registry would raise KeyError per request.
+            self.skipped += len(rows)
+            return
+        for row in rows:
+            future = engine.submit(self.name, self.test.x[row])
+            try:
+                future.result(timeout=_REQUEST_TIMEOUT_SECONDS)
+            except Exception:
+                self.failed += 1
+            else:
+                self.answered += 1
+
+
+#: Report fields the stream drills leave out of ``deterministic_signature()``.
+_STREAM_UNSIGNED = frozenset({"metric", "seed", "batch_sizes", "engine_stats"})
+
+
+def _stream_signature(report) -> Dict[str, object]:
+    """:func:`signature_fields` with each refit outcome cut to
+    ``(ok, mode, num_samples)``."""
+    signature = signature_fields(report, _STREAM_UNSIGNED)
+    signature["refit_outcomes"] = tuple(
+        (outcome.ok, outcome.mode, outcome.num_samples)
+        for outcome in report.refit_outcomes
+    )
+    return signature
+
+
 @dataclass
 class ServingStreamReport:
     """Outcome of one streaming fit-publish-serve run (docs/serving.md)."""
@@ -242,78 +379,51 @@ def run_serving_stream(
     rng: Optional[np.random.Generator] = None,
     test_size: int = 200,
     early_samples: int = 3000,
-    model_name: Optional[str] = None,
 ) -> ServingStreamReport:
     """Drive the full streaming loop: fit -> publish -> serve -> repeat.
 
     Late-stage samples arrive in ``batch_sizes`` waves.  Each wave is folded
     into a :class:`repro.bmf.SequentialBmf` (incremental Woodbury refit), the
     refreshed model is atomically published to a
-    :class:`repro.serving.ModelRegistry`, and ``requests_per_batch``
-    prediction requests are answered by a
+    :class:`repro.serving.ModelRegistry` under the name ``metric``, and
+    ``requests_per_batch`` prediction requests are answered by a
     :class:`repro.serving.PredictionEngine` against the just-published
     version.  The report carries the error trajectory, the refit modes
     actually taken, engine throughput/latency, and the runtime-metrics delta.
     """
-    # Imported here (not at module top) to keep the serving layer an
-    # optional consumer of the experiments package rather than a hard
-    # import cycle: repro.serving never imports repro.experiments.
-    from ..bmf import SequentialBmf
     from ..serving import ModelRegistry, PredictionEngine
 
     if rng is None:
         rng = np.random.default_rng(7)
-    batch_sizes = tuple(int(b) for b in batch_sizes)
-    if not batch_sizes or any(b <= 0 for b in batch_sizes):
-        raise ValueError(f"batch_sizes must be positive, got {batch_sizes}")
-    if requests_per_batch < 1:
-        raise ValueError(
-            f"requests_per_batch must be >= 1, got {requests_per_batch}"
-        )
-    name = metric if model_name is None else model_name
-
-    problem = FusionProblem(testbench, metric)
-    alpha_early = problem.fit_early_model(early_samples, rng)
-    aligned = problem.align_early_coefficients(alpha_early)
-    missing = problem.missing_indices()
-    basis = problem.late_basis
-
-    pool = simulate_dataset(
-        testbench, Stage.POST_LAYOUT, sum(batch_sizes), rng, (metric,)
+    stream = _Stream(
+        testbench, metric, batch_sizes, requests_per_batch, rng, test_size,
+        early_samples,
     )
-    test = simulate_dataset(testbench, Stage.POST_LAYOUT, test_size, rng, (metric,))
-    target = pool.metric(metric)
-
+    test = stream.test
     metrics_before = runtime_metrics.snapshot()
-    sequential = SequentialBmf(
-        basis, aligned, prior_kind="select", missing_indices=missing
-    )
+    sequential = stream.fitter()
     registry = ModelRegistry()
     refit_modes = []
     with PredictionEngine(registry) as engine:
-        offset = 0
-        for batch in batch_sizes:
-            sequential.add_samples(
-                pool.x[offset : offset + batch], target[offset : offset + batch]
-            )
-            offset += batch
+        for x, f in stream.batches:
+            sequential.add_samples(x, f)
             refit_modes.append(sequential.last_refit_mode)
-            registry.publish(name, sequential)
+            registry.publish(metric, sequential)
             rows = rng.integers(0, test.x.shape[0], size=requests_per_batch)
-            futures = [engine.submit(name, test.x[row]) for row in rows]
+            futures = [engine.submit(metric, test.x[row]) for row in rows]
             for future in futures:
-                future.result(timeout=30.0)
-        predicted = engine.predict(name, test.x)
+                future.result(timeout=_REQUEST_TIMEOUT_SECONDS)
+        predicted = engine.predict(metric, test.x)
         engine_stats = engine.stats()
     test_error = relative_error(predicted, test.metric(metric))
 
     return ServingStreamReport(
         metric=metric,
-        batch_sizes=batch_sizes,
+        batch_sizes=stream.batch_sizes,
         cv_error_history=list(sequential.cv_error_history),
         refit_modes=refit_modes,
         test_error=test_error,
-        versions_published=len(registry.versions(name)),
+        versions_published=len(registry.versions(metric)),
         engine_stats=engine_stats,
         runtime_metrics=snapshot_delta(metrics_before, runtime_metrics.snapshot()),
     )
@@ -370,21 +480,7 @@ class ChaosStreamReport:
         Timers and latency statistics are deliberately excluded; what
         remains is pure event counting driven by the seeded fault plans.
         """
-        return {
-            "refit_outcomes": tuple(
-                (outcome.ok, outcome.mode, outcome.num_samples)
-                for outcome in self.refit_outcomes
-            ),
-            "answered_requests": self.answered_requests,
-            "failed_requests": self.failed_requests,
-            "skipped_requests": self.skipped_requests,
-            "publish_attempts": self.publish_attempts,
-            "publish_rejections": self.publish_rejections,
-            "versions_published": self.versions_published,
-            "max_version_lag": self.max_version_lag,
-            "fault_counters": dict(self.fault_counters),
-            "serving_counters": dict(self.serving_counters),
-        }
+        return _stream_signature(self)
 
     def format(self) -> str:
         lines = [
@@ -418,10 +514,7 @@ def run_chaos_stream(
     seed: int = 0,
     test_size: int = 100,
     early_samples: int = 3000,
-    model_name: Optional[str] = None,
-    request_timeout_seconds: float = 30.0,
     sequential_kwargs: Optional[Dict[str, object]] = None,
-    engine_kwargs: Optional[Dict[str, object]] = None,
 ) -> ChaosStreamReport:
     """:func:`run_serving_stream` under armed fault plans, deterministically.
 
@@ -435,101 +528,40 @@ def run_chaos_stream(
     function of ``seed`` and the plans.  Two calls with equal arguments
     yield equal :meth:`ChaosStreamReport.deterministic_signature` s.
     """
-    from ..bmf import SequentialBmf
-    from ..faults import inject
-    from ..serving import ModelRegistry, PredictionEngine, PublishRejectedError
+    from ..serving import ModelRegistry, PredictionEngine
 
     rng = np.random.default_rng(seed)
-    batch_sizes = tuple(int(b) for b in batch_sizes)
-    if not batch_sizes or any(b <= 0 for b in batch_sizes):
-        raise ValueError(f"batch_sizes must be positive, got {batch_sizes}")
-    if requests_per_batch < 1:
-        raise ValueError(
-            f"requests_per_batch must be >= 1, got {requests_per_batch}"
-        )
-    name = metric if model_name is None else model_name
-
-    problem = FusionProblem(testbench, metric)
-    alpha_early = problem.fit_early_model(early_samples, rng)
-    aligned = problem.align_early_coefficients(alpha_early)
-    missing = problem.missing_indices()
-    basis = problem.late_basis
-
-    pool = simulate_dataset(
-        testbench, Stage.POST_LAYOUT, sum(batch_sizes), rng, (metric,)
+    stream = _Stream(
+        testbench, metric, batch_sizes, requests_per_batch, rng, test_size,
+        early_samples, sequential_kwargs,
     )
-    test = simulate_dataset(testbench, Stage.POST_LAYOUT, test_size, rng, (metric,))
-    target = pool.metric(metric)
 
-    counters_before = runtime_metrics.counters()
-    # sequential_kwargs overrides the defaults wholesale (e.g. a fixed-eta
-    # configuration exercises the border-updated Cholesky path, where
-    # injected solver faults are absorbed by the woodbury.fallbacks escape
-    # hatch instead of failing the refit).
-    seq_kwargs: Dict[str, object] = {"prior_kind": "select"}
-    seq_kwargs.update(sequential_kwargs or {})
-    sequential = SequentialBmf(
-        basis, aligned, missing_indices=missing, **seq_kwargs
-    )
+    before = runtime_metrics.counters()
+    sequential = stream.fitter()
     registry = ModelRegistry()
-    refit_outcomes = []
-    answered = failed = skipped = 0
-    publish_attempts = publish_rejections = 0
     armed = inject(*fault_plans) if fault_plans else contextlib.nullcontext()
-    with PredictionEngine(registry, **(engine_kwargs or {})) as engine:
+    with PredictionEngine(registry) as engine:
         with armed:
-            offset = 0
-            for batch in batch_sizes:
-                outcome = sequential.try_add_samples(
-                    pool.x[offset : offset + batch],
-                    target[offset : offset + batch],
-                )
-                offset += batch
-                refit_outcomes.append(outcome)
-                if outcome.ok:
-                    publish_attempts += 1
-                    try:
-                        registry.publish(name, sequential)
-                    except PublishRejectedError:
-                        publish_rejections += 1
-                rows = rng.integers(0, test.x.shape[0], size=requests_per_batch)
-                if name not in registry:
-                    # Nothing servable yet (every publish so far failed);
-                    # the registry would raise KeyError per request.
-                    skipped += len(rows)
-                    continue
-                for row in rows:
-                    # One request at a time: concurrent submission would
-                    # make batch composition (and hence counter values)
-                    # timing-dependent.
-                    future = engine.submit(name, test.x[row])
-                    try:
-                        future.result(timeout=request_timeout_seconds)
-                    except Exception:
-                        failed += 1
-                    else:
-                        answered += 1
+            for x, f in stream.batches:
+                if stream.refit(sequential, x, f):
+                    stream.publish(registry, sequential)
+                stream.serve(engine, registry)
         engine_stats = engine.stats()
-    counter_delta = counters_delta(counters_before, runtime_metrics.counters())
 
     return ChaosStreamReport(
         metric=metric,
         seed=int(seed),
-        batch_sizes=batch_sizes,
-        refit_outcomes=refit_outcomes,
-        answered_requests=answered,
-        failed_requests=failed,
-        skipped_requests=skipped,
-        publish_attempts=publish_attempts,
-        publish_rejections=publish_rejections,
-        versions_published=len(registry.versions(name)),
+        batch_sizes=stream.batch_sizes,
+        refit_outcomes=stream.refit_outcomes,
+        answered_requests=stream.answered,
+        failed_requests=stream.failed,
+        skipped_requests=stream.skipped,
+        publish_attempts=stream.publish_attempts,
+        publish_rejections=stream.publish_rejections,
+        versions_published=len(registry.versions(metric)),
         max_version_lag=int(engine_stats["max_version_lag"]),
-        fault_counters={
-            k: v for k, v in counter_delta.items() if k.startswith("faults.")
-        },
-        serving_counters={
-            k: v for k, v in counter_delta.items() if k.startswith("serving.")
-        },
+        fault_counters=counters_delta(before, runtime_metrics.counters("faults.")),
+        serving_counters=counters_delta(before, runtime_metrics.counters("serving.")),
         engine_stats=engine_stats,
     )
 
@@ -590,36 +622,7 @@ class CrashRecoveryReport:
 
     def deterministic_signature(self) -> Dict[str, object]:
         """Everything that must be bitwise identical across same-seed runs."""
-        return {
-            "crash_after_batches": self.crash_after_batches,
-            "crash_failpoint": self.crash_failpoint,
-            "crash_observed": self.crash_observed,
-            "records_visible_after_crash": self.records_visible_after_crash,
-            "recovered_versions": tuple(self.recovered_versions),
-            "quarantined_records": self.quarantined_records,
-            "recovered_bitwise_identical": self.recovered_bitwise_identical,
-            "rearmed": self.rearmed,
-            "refit_outcomes": tuple(
-                (outcome.ok, outcome.mode, outcome.num_samples)
-                for outcome in self.refit_outcomes
-            ),
-            "answered_requests": self.answered_requests,
-            "failed_requests": self.failed_requests,
-            "publish_attempts": self.publish_attempts,
-            "publish_rejections": self.publish_rejections,
-            "versions_published": self.versions_published,
-            "queue_bound": self.queue_bound,
-            "burst_staged_expired": self.burst_staged_expired,
-            "burst_live_submitted": self.burst_live_submitted,
-            "burst_rejected": self.burst_rejected,
-            "burst_answered": self.burst_answered,
-            "peak_queue_depth": self.peak_queue_depth,
-            "shed_expired": self.shed_expired,
-            "shed_rejected": self.shed_rejected,
-            "fault_counters": dict(self.fault_counters),
-            "serving_counters": dict(self.serving_counters),
-            "store_counters": dict(self.store_counters),
-        }
+        return _stream_signature(self)
 
     def format(self) -> str:
         lines = [
@@ -659,11 +662,8 @@ def run_crash_recovery_stream(
     seed: int = 0,
     test_size: int = 100,
     early_samples: int = 3000,
-    model_name: Optional[str] = None,
-    request_timeout_seconds: float = 30.0,
     max_queue_depth: int = 16,
     sequential_kwargs: Optional[Dict[str, object]] = None,
-    engine_kwargs: Optional[Dict[str, object]] = None,
 ) -> CrashRecoveryReport:
     """Fit -> publish -> **kill** -> recover -> serve, deterministically.
 
@@ -678,9 +678,9 @@ def run_crash_recovery_stream(
     be *bitwise identical* to the last pre-crash snapshot, and the
     sequential fitter warm-restarts from its persisted samples and
     Cholesky factor.  Phase 4 replays the crashed batch plus the
-    remaining stream against the recovered state.  Phase 5 drives a
-    2x-queue-bound overload burst against a paused dispatcher to exercise
-    admission control (shed-oldest-expired, then reject) with
+    remaining stream against the recovered state.  Phase 5 is
+    :func:`repro.loadgen.overload_burst` at twice ``max_queue_depth``,
+    exercising admission control (shed-oldest-expired, then reject) with
     deterministic counters.
 
     Like :func:`run_chaos_stream`, requests are awaited sequentially and
@@ -688,25 +688,10 @@ def run_crash_recovery_stream(
     :meth:`CrashRecoveryReport.deterministic_signature` is a pure
     function of the arguments.
     """
-    from ..bmf import SequentialBmf
-    from ..faults import Deadline, FaultPlan, SimulatedCrash, inject
-    from ..serving import (
-        EngineOverloadedError,
-        ModelRegistry,
-        PredictionEngine,
-        PublishRejectedError,
-    )
+    from ..loadgen import overload_burst
+    from ..serving import ModelRegistry, PredictionEngine
     from ..store import ModelStore, RecoveryManager
 
-    rng = np.random.default_rng(seed)
-    batch_sizes = tuple(int(b) for b in batch_sizes)
-    if not batch_sizes or any(b <= 0 for b in batch_sizes):
-        raise ValueError(f"batch_sizes must be positive, got {batch_sizes}")
-    if not 1 <= crash_after_batches < len(batch_sizes):
-        raise ValueError(
-            f"crash_after_batches must be in [1, {len(batch_sizes) - 1}], "
-            f"got {crash_after_batches}"
-        )
     if crash_failpoint not in ("store.write", "store.fsync"):
         raise ValueError(
             "crash_failpoint must be 'store.write' or 'store.fsync', got "
@@ -714,85 +699,36 @@ def run_crash_recovery_stream(
         )
     if max_queue_depth < 1:
         raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
-    name = metric if model_name is None else model_name
-
-    problem = FusionProblem(testbench, metric)
-    alpha_early = problem.fit_early_model(early_samples, rng)
-    aligned = problem.align_early_coefficients(alpha_early)
-    missing = problem.missing_indices()
-    basis = problem.late_basis
-
-    pool = simulate_dataset(
-        testbench, Stage.POST_LAYOUT, sum(batch_sizes), rng, (metric,)
+    rng = np.random.default_rng(seed)
+    stream = _Stream(
+        testbench, metric, batch_sizes, requests_per_batch, rng, test_size,
+        early_samples, sequential_kwargs,
     )
-    test = simulate_dataset(testbench, Stage.POST_LAYOUT, test_size, rng, (metric,))
-    target = pool.metric(metric)
+    if not 1 <= crash_after_batches < len(stream.batches):
+        raise ValueError(
+            f"crash_after_batches must be in [1, {len(stream.batches) - 1}], "
+            f"got {crash_after_batches}"
+        )
 
-    counters_before = runtime_metrics.counters()
-    seq_kwargs: Dict[str, object] = {"prior_kind": "select"}
-    seq_kwargs.update(sequential_kwargs or {})
-    eng_kwargs: Dict[str, object] = {"max_queue_depth": max_queue_depth}
-    eng_kwargs.update(engine_kwargs or {})
-
-    def make_fitter() -> "SequentialBmf":
-        return SequentialBmf(basis, aligned, missing_indices=missing, **seq_kwargs)
-
-    refit_outcomes = []
-    answered = failed = 0
-    publish_attempts = publish_rejections = 0
-
-    def serve_batch(engine, registry) -> None:
-        nonlocal answered, failed
-        rows = rng.integers(0, test.x.shape[0], size=requests_per_batch)
-        if name not in registry:
-            return
-        for row in rows:
-            # Sequential awaits keep counter values timing-independent.
-            future = engine.submit(name, test.x[row])
-            try:
-                future.result(timeout=request_timeout_seconds)
-            except Exception:
-                failed += 1
-            else:
-                answered += 1
+    before = runtime_metrics.counters()
 
     # ----- Phase 1+2: pre-crash stream, then the killed publish ---------
     store = ModelStore(store_root)
-    sequential = make_fitter()
+    sequential = stream.fitter()
     registry = ModelRegistry(store=store)
     durable_snapshot: Dict[str, object] = registry.snapshot()
     crash_observed = False
-    with PredictionEngine(registry, **eng_kwargs) as engine:
-        offset = 0
-        for index in range(crash_after_batches):
-            batch = batch_sizes[index]
-            outcome = sequential.try_add_samples(
-                pool.x[offset : offset + batch], target[offset : offset + batch]
-            )
-            offset += batch
-            refit_outcomes.append(outcome)
-            if outcome.ok:
-                publish_attempts += 1
-                try:
-                    registry.publish(name, sequential)
-                except PublishRejectedError:
-                    publish_rejections += 1
-                else:
-                    durable_snapshot = registry.snapshot()
-            serve_batch(engine, registry)
+    with PredictionEngine(registry, max_queue_depth=max_queue_depth) as engine:
+        for x, f in stream.batches[:crash_after_batches]:
+            if stream.refit(sequential, x, f) and stream.publish(registry, sequential):
+                durable_snapshot = registry.snapshot()
+            stream.serve(engine, registry)
 
-        crash_batch = batch_sizes[crash_after_batches]
-        outcome = sequential.try_add_samples(
-            pool.x[offset : offset + crash_batch],
-            target[offset : offset + crash_batch],
-        )
-        refit_outcomes.append(outcome)
-        if outcome.ok:
-            publish_attempts += 1
+        if stream.refit(sequential, *stream.batches[crash_after_batches]):
             kill = FaultPlan.fail_once(crash_failpoint, error=SimulatedCrash)
             try:
                 with inject(kill):
-                    registry.publish(name, sequential)
+                    stream.publish(registry, sequential)
             except SimulatedCrash:
                 crash_observed = True
             else:  # plan did not fire (publish skipped earlier) -- still durable
@@ -810,65 +746,34 @@ def run_crash_recovery_stream(
     registry = recovery.registry
     recovered_identical = registry.snapshot() == durable_snapshot
 
-    sequential = make_fitter()
-    state = recovery.sequential_state(name)
+    sequential = stream.fitter()
+    state = recovery.sequential_state(metric)
     rearmed = state is not None
     if rearmed:
         sequential.rearm(state)
 
     # ----- Phase 4: replay the crashed batch + the rest of the stream ---
-    with PredictionEngine(registry, **eng_kwargs) as engine:
-        offset = sum(batch_sizes[:crash_after_batches])
-        for batch in batch_sizes[crash_after_batches:]:
-            outcome = sequential.try_add_samples(
-                pool.x[offset : offset + batch], target[offset : offset + batch]
-            )
-            offset += batch
-            refit_outcomes.append(outcome)
-            if outcome.ok:
-                publish_attempts += 1
-                try:
-                    registry.publish(name, sequential)
-                except PublishRejectedError:
-                    publish_rejections += 1
-            serve_batch(engine, registry)
+    with PredictionEngine(registry, max_queue_depth=max_queue_depth) as engine:
+        for x, f in stream.batches[crash_after_batches:]:
+            if stream.refit(sequential, x, f):
+                stream.publish(registry, sequential)
+            stream.serve(engine, registry)
 
         # ----- Phase 5: 2x-bound saturation burst, dispatcher paused ----
-        engine.pause_dispatch()
-        stale = Deadline.after(1e-9)
-        while not stale.expired:  # nanosecond deadline: spin, do not sleep
-            pass
-        staged = []
-        for _ in range(max_queue_depth):
-            staged.append(engine.submit(name, test.x[0], deadline=stale))
-        live = []
-        burst_rejected = 0
-        for _ in range(2 * max_queue_depth):
-            try:
-                live.append(
-                    engine.submit(
-                        name, test.x[0], timeout=request_timeout_seconds
-                    )
-                )
-            except EngineOverloadedError:
-                burst_rejected += 1
-        engine.resume_dispatch()
-        burst_answered = 0
-        for future in live:
-            try:
-                future.result(timeout=request_timeout_seconds)
-            except Exception:
-                continue  # unanswered: absent from burst_answered
-            burst_answered += 1
-        for future in staged:  # shed futures resolve with DeadlineExpiredError
-            future.exception(timeout=request_timeout_seconds)
+        burst = overload_burst(
+            engine,
+            metric,
+            stream.test.x[0],
+            bound=max_queue_depth,
+            factor=2,
+            timeout=_REQUEST_TIMEOUT_SECONDS,
+        )
         engine_stats = engine.stats()
 
-    counter_delta = counters_delta(counters_before, runtime_metrics.counters())
     return CrashRecoveryReport(
         metric=metric,
         seed=int(seed),
-        batch_sizes=batch_sizes,
+        batch_sizes=stream.batch_sizes,
         crash_after_batches=crash_after_batches,
         crash_failpoint=crash_failpoint,
         crash_observed=crash_observed,
@@ -877,29 +782,23 @@ def run_crash_recovery_stream(
         quarantined_records=len(recovery.quarantined),
         recovered_bitwise_identical=recovered_identical,
         rearmed=rearmed,
-        refit_outcomes=refit_outcomes,
-        answered_requests=answered,
-        failed_requests=failed,
-        publish_attempts=publish_attempts,
-        publish_rejections=publish_rejections,
-        versions_published=len(registry.versions(name)),
+        refit_outcomes=stream.refit_outcomes,
+        answered_requests=stream.answered,
+        failed_requests=stream.failed,
+        publish_attempts=stream.publish_attempts,
+        publish_rejections=stream.publish_rejections,
+        versions_published=len(registry.versions(metric)),
         queue_bound=max_queue_depth,
-        burst_staged_expired=len(staged),
-        burst_live_submitted=len(live),
-        burst_rejected=burst_rejected,
-        burst_answered=burst_answered,
+        burst_staged_expired=burst.staged,
+        burst_live_submitted=burst.submitted - burst.rejected,
+        burst_rejected=burst.rejected,
+        burst_answered=burst.answered,
         peak_queue_depth=int(engine_stats["peak_queue_depth"]),
         shed_expired=int(engine_stats["shed_expired"]),
         shed_rejected=int(engine_stats["shed_rejected"]),
-        fault_counters={
-            k: v for k, v in counter_delta.items() if k.startswith("faults.")
-        },
-        serving_counters={
-            k: v for k, v in counter_delta.items() if k.startswith("serving.")
-        },
-        store_counters={
-            k: v for k, v in counter_delta.items() if k.startswith("store.")
-        },
+        fault_counters=counters_delta(before, runtime_metrics.counters("faults.")),
+        serving_counters=counters_delta(before, runtime_metrics.counters("serving.")),
+        store_counters=counters_delta(before, runtime_metrics.counters("store.")),
         engine_stats=engine_stats,
     )
 
@@ -921,6 +820,7 @@ class RollingRestartReport:
     versions_published: int
     #: Whether the store was compacted under live traffic mid-drill.
     compacted: bool
+    #: Superseded versions per model the compaction kept (always 1).
     history_window: int
     #: Live store generation when the drill finished (0 = never compacted).
     generation: int
@@ -949,26 +849,7 @@ class RollingRestartReport:
 
     def deterministic_signature(self) -> Dict[str, object]:
         """Everything that must be bitwise identical across same-seed runs."""
-        return {
-            "num_shards": self.num_shards,
-            "replication_factor": self.replication_factor,
-            "num_models": self.num_models,
-            "versions_published": self.versions_published,
-            "compacted": self.compacted,
-            "history_window": self.history_window,
-            "generation": self.generation,
-            "checkpoint_offset": self.checkpoint_offset,
-            "restart_order": tuple(self.restart_order),
-            "restart_restored": tuple(self.restart_restored),
-            "requests_issued": self.requests_issued,
-            "answered_requests": self.answered_requests,
-            "failed_requests": self.failed_requests,
-            "rearm_modes": tuple(self.rearm_modes),
-            "rearms": self.rearms,
-            "woodbury_fallbacks": self.woodbury_fallbacks,
-            "serving_counters": dict(self.serving_counters),
-            "store_counters": dict(self.store_counters),
-        }
+        return signature_fields(self, {"seed", "router_stats"})
 
     def format(self) -> str:
         lines = [
@@ -1002,13 +883,8 @@ def run_rolling_restart_drill(
     pre_batches: int = 2,
     batch_size: int = 16,
     requests_per_phase: int = 6,
-    basis_vars: int = 2,
-    basis_degree: int = 2,
     compact_between: bool = True,
-    history_window: int = 1,
     seed: int = 0,
-    request_timeout_seconds: float = 30.0,
-    registry_kwargs: Optional[Dict[str, object]] = None,
     engine_kwargs: Optional[Dict[str, object]] = None,
 ) -> RollingRestartReport:
     """Publish -> (compact) -> restart every shard under live traffic.
@@ -1019,8 +895,9 @@ def run_rolling_restart_drill(
        :class:`~repro.serving.ShardRouter` (write-ahead persistence into
        the shared store), serving between publishes;
     2. optionally compact the store *under the live router* (survivors +
-       journal checkpoint into a new generation; every follower crosses
-       the compaction boundary on its next poll);
+       journal checkpoint into a new generation, keeping one superseded
+       version per model; every follower crosses the compaction boundary
+       on its next poll);
     3. :meth:`~repro.serving.ShardRouter.rolling_restart` -- one shard at
        a time is stopped, rebuilt from nothing but the store directory,
        and rejoined, while the ``drive`` callback pushes live requests
@@ -1031,12 +908,13 @@ def run_rolling_restart_drill(
        ever lands on the critical path (``sequential.rearms`` up,
        ``woodbury.fallbacks`` zero).
 
-    Requests are awaited sequentially (blocking ``predict``), so every
-    signature field is a pure function of the arguments: same seed, same
+    The models are seeded synthetic ones on a degree-2 Hermite basis in
+    two variables.  Requests are awaited sequentially (blocking
+    ``predict``), so every signature field is a pure function of the
+    arguments: same seed, same
     :meth:`RollingRestartReport.deterministic_signature`.
     """
     from ..basis import OrthonormalBasis
-    from ..bmf import SequentialBmf
     from ..serving import ShardRouter
     from ..store import ModelStore, RecoveryManager, compact
 
@@ -1046,12 +924,12 @@ def run_rolling_restart_drill(
         raise ValueError(f"pre_batches must be >= 1, got {pre_batches}")
 
     rng = np.random.default_rng(seed)
-    basis = OrthonormalBasis.total_degree(basis_vars, basis_degree)
+    basis = OrthonormalBasis.total_degree(_DRILL_BASIS_VARS, _DRILL_BASIS_DEGREE)
     names = [f"model-{index:04d}" for index in range(num_models)]
     alphas = {name: rng.normal(size=len(basis.indices)) for name in names}
     test_x = rng.normal(size=(64, basis.num_vars))
 
-    def make_fitter(name: str) -> "SequentialBmf":
+    def make_fitter(name: str) -> SequentialBmf:
         return SequentialBmf(
             basis, alphas[name], prior_kind="nonzero-mean", eta=1e-3
         )
@@ -1061,13 +939,12 @@ def run_rolling_restart_drill(
         f = basis.design_matrix(x) @ alphas[name] + 0.01 * rng.normal(size=count)
         return x, f
 
-    counters_before = runtime_metrics.counters()
+    before = runtime_metrics.counters()
     store = ModelStore(store_root)
     router = ShardRouter(
         store,
         num_shards=num_shards,
         replication_factor=replication_factor,
-        registry_kwargs=dict(registry_kwargs or {}),
         engine_kwargs=dict(engine_kwargs or {}),
     )
 
@@ -1082,7 +959,7 @@ def run_rolling_restart_drill(
             try:
                 # Sequential awaits keep counter values timing-independent.
                 router.predict(
-                    name, test_x[row], timeout=request_timeout_seconds
+                    name, test_x[row], timeout=_REQUEST_TIMEOUT_SECONDS
                 )
             except Exception:
                 failed += 1
@@ -1103,7 +980,7 @@ def run_rolling_restart_drill(
 
         # ----- Phase 2: compaction under the live router ----------------
         if compact_between:
-            compact(store, history_window=history_window)
+            compact(store, history_window=_DRILL_HISTORY_WINDOW)
             router.catch_up()  # every follower crosses the boundary
             serve_phase()
 
@@ -1132,7 +1009,10 @@ def run_rolling_restart_drill(
         router_stats = router.stats()
 
     view = store.journal_view()
-    counter_delta = counters_delta(counters_before, runtime_metrics.counters())
+    rearms, fallbacks = (
+        runtime_metrics.count(name) - before.get(name, 0)
+        for name in ("sequential.rearms", "woodbury.fallbacks")
+    )
     return RollingRestartReport(
         seed=int(seed),
         num_shards=int(num_shards),
@@ -1140,7 +1020,7 @@ def run_rolling_restart_drill(
         num_models=int(num_models),
         versions_published=versions_published,
         compacted=bool(compact_between),
-        history_window=int(history_window),
+        history_window=_DRILL_HISTORY_WINDOW,
         generation=view.generation,
         checkpoint_offset=view.checkpoint_offset,
         restart_order=tuple(restart_order),
@@ -1149,13 +1029,9 @@ def run_rolling_restart_drill(
         answered_requests=answered,
         failed_requests=failed,
         rearm_modes=tuple(rearm_modes),
-        rearms=counter_delta.get("sequential.rearms", 0),
-        woodbury_fallbacks=counter_delta.get("woodbury.fallbacks", 0),
-        serving_counters={
-            k: v for k, v in counter_delta.items() if k.startswith("serving.")
-        },
-        store_counters={
-            k: v for k, v in counter_delta.items() if k.startswith("store.")
-        },
+        rearms=rearms,
+        woodbury_fallbacks=fallbacks,
+        serving_counters=counters_delta(before, runtime_metrics.counters("serving.")),
+        store_counters=counters_delta(before, runtime_metrics.counters("store.")),
         router_stats=router_stats,
     )

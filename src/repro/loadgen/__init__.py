@@ -8,7 +8,7 @@ archives under ``benchmarks/results/``.  See ``docs/serving.md`` and
 ``python -m repro.loadgen --help``.
 """
 
-from .harness import LoadConfig, run_load
+from .harness import BurstOutcome, LoadConfig, overload_burst, run_load
 from .report import (
     REPORT_SCHEMA,
     SCHEMA_VERSION,
@@ -18,11 +18,13 @@ from .report import (
 )
 
 __all__ = [
+    "BurstOutcome",
     "LoadConfig",
     "LoadReport",
     "REPORT_SCHEMA",
     "SCHEMA_VERSION",
     "latency_percentiles",
+    "overload_burst",
     "run_load",
     "validate_report",
 ]

@@ -16,11 +16,11 @@ quota** layered on top of the engines' ``max_queue_depth`` shedding:
    the seed.  Optionally, ``kill_shard_after`` kills one shard
    mid-traffic: the router rebalances its names to survivors whose
    followers already hold warm replicas, and the harness keeps driving;
-3. **overload burst** (optional) -- with one engine's dispatcher paused,
-   the queue is saturated with already-expired requests and then hit
-   with a 2x-bound burst of live ones, exercising
-   shed-oldest-expired-then-reject admission control with deterministic
-   counts.
+3. **overload burst** (optional) -- :func:`overload_burst`, shared with
+   the crash-recovery drill: with one engine's dispatcher paused, the
+   queue is saturated with already-expired requests and then hit with a
+   live burst, exercising shed-oldest-expired-then-reject admission
+   control with deterministic counts.
 
 The result is a :class:`~repro.loadgen.report.LoadReport`: latency
 percentiles (p50/p99/p999), throughput, and the full deterministic
@@ -33,7 +33,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -52,7 +52,11 @@ from ..serving import (
 )
 from .report import LoadReport, latency_percentiles
 
-__all__ = ["LoadConfig", "run_load"]
+__all__ = ["BurstOutcome", "LoadConfig", "overload_burst", "run_load"]
+
+#: The synthetic fleet's shared Hermite basis: total degree 2 in 4 variables.
+_BASIS_VARS = 4
+_BASIS_DEGREE = 2
 
 
 @dataclass(frozen=True)
@@ -77,16 +81,13 @@ class LoadConfig:
     max_delay_seconds: float = 0.0
     request_timeout_seconds: float = 30.0
     rows_per_request: int = 1
-    basis_vars: int = 4
-    basis_degree: int = 2
     #: Kill one shard after this many generated requests (``None`` = never).
     kill_shard_after: Optional[int] = None
     #: Which shard to kill; ``None`` picks the first model's primary, so
     #: the kill is guaranteed to rebalance at least one key.
     kill_shard: Optional[int] = None
-    #: Saturation factor of the optional overload-burst phase (0 = skip):
-    #: the queue is filled with ``max_queue_depth`` expired requests, then
-    #: ``overload_burst * max_queue_depth`` live ones are submitted.
+    #: Saturation factor of the optional :func:`overload_burst` phase
+    #: against ``max_queue_depth`` (0 = skip).
     overload_burst: int = 0
     #: Enable hedged requests on the router (see ``docs/serving.md``,
     #: "Health, hedging, and brownout").
@@ -119,8 +120,6 @@ class LoadConfig:
             "max_queue_depth",
             "workers",
             "rows_per_request",
-            "basis_vars",
-            "basis_degree",
         ):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -198,11 +197,51 @@ def _model_name(index: int) -> str:
     return f"model-{index:04d}"
 
 
-def _expired_deadline() -> Deadline:
-    deadline = Deadline.after(1e-9)
-    while not deadline.expired:  # nanosecond fuse; burns out instantly
+class BurstOutcome(NamedTuple):
+    """Counts of one :func:`overload_burst` (all zero when none ran):
+    expired requests staged, live submits attempted, live submits
+    rejected, and live requests answered."""
+
+    staged: int = 0
+    submitted: int = 0
+    rejected: int = 0
+    answered: int = 0
+
+
+def overload_burst(
+    engine, name: str, x, bound: int, factor: int, timeout: float
+) -> BurstOutcome:
+    """Saturate ``engine``'s queue against a paused dispatcher.
+
+    Stages ``bound`` already-expired requests for row ``x`` of model
+    ``name``, submits ``factor * bound`` live ones, resumes dispatch,
+    then awaits the admitted ones one at a time.  With ``bound`` the
+    engine's ``max_queue_depth``, shed-oldest-expired-then-reject
+    admission makes every count a pure function of the arguments.
+    """
+    engine.pause_dispatch()
+    stale = Deadline.after(1e-9)
+    while not stale.expired:  # nanosecond fuse; burns out instantly
         pass
-    return deadline
+    staged = [engine.submit(name, x, deadline=stale) for _ in range(bound)]
+    live = []
+    rejected = 0
+    for _ in range(factor * bound):
+        try:
+            live.append(engine.submit(name, x, timeout=timeout))
+        except EngineOverloadedError:
+            rejected += 1
+    engine.resume_dispatch()
+    answered = 0
+    for future in live:
+        try:
+            future.result(timeout=timeout)
+        except Exception:
+            continue  # unanswered: absent from the answered count
+        answered += 1
+    for future in staged:  # shed futures resolve with an exception
+        future.exception(timeout=timeout)
+    return BurstOutcome(len(staged), factor * bound, rejected, answered)
 
 
 def run_load(config: LoadConfig, store_root) -> LoadReport:
@@ -213,13 +252,13 @@ def run_load(config: LoadConfig, store_root) -> LoadReport:
     temporary directory gives a hermetic run.
     """
     rng = np.random.default_rng(config.seed)
-    basis = OrthonormalBasis.total_degree(config.basis_vars, config.basis_degree)
+    basis = OrthonormalBasis.total_degree(_BASIS_VARS, _BASIS_DEGREE)
     counters_before = metrics.counters()
 
     quota_rejected = submitted = 0
     shed_rejected = answered = failed = expired = 0
     post_kill_admitted = post_kill_answered = 0
-    burst_staged = burst_submitted = burst_rejected = burst_answered = 0
+    burst = BurstOutcome()
     brownout_shed = 0
     killed_shard: Optional[int] = None
     tenant_admitted: Dict[str, int] = {}
@@ -344,36 +383,14 @@ def run_load(config: LoadConfig, store_root) -> LoadReport:
 
         # ----- Phase 3: optional deterministic overload burst -----------
         if config.overload_burst > 0:
-            burst_name = names[0]
-            engine = router.engine_for(burst_name)
-            engine.pause_dispatch()
-            stale = _expired_deadline()
-            staged = []
-            for _ in range(config.max_queue_depth):
-                staged.append(engine.submit(burst_name, pool[0], deadline=stale))
-            burst_staged = len(staged)
-            live = []
-            for _ in range(config.overload_burst * config.max_queue_depth):
-                burst_submitted += 1
-                try:
-                    live.append(
-                        engine.submit(
-                            burst_name,
-                            pool[0],
-                            timeout=config.request_timeout_seconds,
-                        )
-                    )
-                except EngineOverloadedError:
-                    burst_rejected += 1
-            engine.resume_dispatch()
-            for future in live:
-                try:
-                    future.result(timeout=config.request_timeout_seconds)
-                except Exception:
-                    continue  # unanswered: absent from burst_answered
-                burst_answered += 1
-            for future in staged:  # shed futures resolve with an exception
-                future.exception(timeout=config.request_timeout_seconds)
+            burst = overload_burst(
+                router.engine_for(names[0]),
+                names[0],
+                pool[0],
+                bound=config.max_queue_depth,
+                factor=config.overload_burst,
+                timeout=config.request_timeout_seconds,
+            )
 
         max_version_lag = router.max_version_lag()
         hedge_stats = router.hedge_stats() or {}
@@ -386,9 +403,9 @@ def run_load(config: LoadConfig, store_root) -> LoadReport:
     delta = counters_delta(counters_before, metrics.counters())
     metrics.increment("loadgen.requests", config.num_requests)
     metrics.increment("loadgen.quota_rejected", quota_rejected)
-    metrics.increment("loadgen.answered", answered + burst_answered)
+    metrics.increment("loadgen.answered", answered + burst.answered)
     metrics.increment("loadgen.failed", failed)
-    metrics.increment("loadgen.shed", shed_rejected + burst_rejected)
+    metrics.increment("loadgen.shed", shed_rejected + burst.rejected)
 
     return LoadReport(
         seed=config.seed,
@@ -416,10 +433,10 @@ def run_load(config: LoadConfig, store_root) -> LoadReport:
         expired=expired,
         post_kill_admitted=post_kill_admitted,
         post_kill_answered=post_kill_answered,
-        burst_staged=burst_staged,
-        burst_submitted=burst_submitted,
-        burst_rejected=burst_rejected,
-        burst_answered=burst_answered,
+        burst_staged=burst.staged,
+        burst_submitted=burst.submitted,
+        burst_rejected=burst.rejected,
+        burst_answered=burst.answered,
         hedged=int(hedge_stats.get("attempts", 0)),
         hedge_wins=int(hedge_stats.get("wins", 0)),
         hedge_primary_wins=int(hedge_stats.get("primary_wins", 0)),

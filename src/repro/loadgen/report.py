@@ -21,6 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..runtime.metrics import signature_fields
+
 __all__ = [
     "LoadReport",
     "REPORT_SCHEMA",
@@ -92,6 +94,21 @@ REPORT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     "throughput_rps": ("float",),
     "duration_seconds": ("float",),
 }
+
+#: Fields :meth:`LoadReport.deterministic_signature` leaves out: the
+#: configuration echoes other than the seed and the tail-tolerance
+#: switches, the timing-dependent hedge/brownout counts, and wall-clock.
+_UNSIGNED_FIELDS = frozenset(
+    {
+        "num_requests", "num_tenants", "num_models", "num_shards",
+        "replication_factor", "tenant_quota", "max_queue_depth",
+        "rows_per_request", "kill_shard_after", "slow_shard_latency_ms",
+        "hedged", "hedge_wins", "hedge_primary_wins", "hedge_budget_denied",
+        "hedge_cancelled", "brownout_shed", "latency_p50_ms", "latency_p99_ms",
+        "latency_p999_ms", "latency_mean_ms", "latency_max_ms",
+        "throughput_rps", "duration_seconds",
+    }
+)
 
 _TYPE_CHECKS = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
@@ -234,34 +251,7 @@ class LoadReport:
         of the signature, because two runs with different tail-tolerance
         settings are not the same scenario.
         """
-        return {
-            "seed": self.seed,
-            "hedge_enabled": self.hedge_enabled,
-            "brownout_enabled": self.brownout_enabled,
-            "slow_shard": self.slow_shard,
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "answered": self.answered,
-            "failed": self.failed,
-            "quota_rejected": self.quota_rejected,
-            "shed_rejected": self.shed_rejected,
-            "shed_expired": self.shed_expired,
-            "expired": self.expired,
-            "post_kill_admitted": self.post_kill_admitted,
-            "post_kill_answered": self.post_kill_answered,
-            "burst_staged": self.burst_staged,
-            "burst_submitted": self.burst_submitted,
-            "burst_rejected": self.burst_rejected,
-            "burst_answered": self.burst_answered,
-            "rebalanced_keys": self.rebalanced_keys,
-            "failovers": self.failovers,
-            "failover_routes": self.failover_routes,
-            "replica_applied": self.replica_applied,
-            "backfills": self.backfills,
-            "max_version_lag": self.max_version_lag,
-            "killed_shard": self.killed_shard,
-            "tenant_admitted": dict(sorted(self.tenant_admitted.items())),
-        }
+        return signature_fields(self, _UNSIGNED_FIELDS)
 
     def to_dict(self) -> Dict[str, object]:
         """The schema-shaped JSON object (see :data:`REPORT_SCHEMA`)."""

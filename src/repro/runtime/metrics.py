@@ -18,14 +18,15 @@ import threading
 from ..locks import named_lock
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterator
+from dataclasses import dataclass, fields
+from typing import AbstractSet, Dict, Iterator
 
 __all__ = [
     "TimerStat",
     "MetricsRegistry",
     "counters_delta",
     "metrics",
+    "signature_fields",
     "snapshot_delta",
     "format_snapshot",
 ]
@@ -140,6 +141,26 @@ def counters_delta(
         change = value - before.get(name, 0)
         if change:
             out[name] = change
+    return out
+
+
+def signature_fields(report, unsigned: AbstractSet[str]) -> Dict[str, object]:
+    """Every dataclass field of ``report`` not named in ``unsigned``: the
+    body of each drill report's ``deterministic_signature()``.
+
+    Lists become tuples and dicts key-sorted copies, so the result
+    compares equal across same-seed runs however the report was built.
+    """
+    out: Dict[str, object] = {}
+    for spec in fields(report):
+        if spec.name in unsigned:
+            continue
+        value = getattr(report, spec.name)
+        if isinstance(value, dict):
+            value = dict(sorted(value.items()))
+        elif isinstance(value, list):
+            value = tuple(value)
+        out[spec.name] = value
     return out
 
 

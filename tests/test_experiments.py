@@ -166,6 +166,27 @@ class TestErrorTable:
         )
         assert table.best_method_at(40) in table.errors
 
+    def test_table1_shape_holds_at_reduced_size(self, tiny_ro):
+        """Table I's claims at K = 20..180: every method improves with K,
+        BMF-PS beats OMP by the bench's factor at the smallest K, and
+        prior selection tracks the better prior at every K.  The bench's
+        "BMF-PS at small K rivals OMP at large K" bound stays under
+        ``benchmarks/``: at this size BMF-PS at K=20 is 1.7x OMP at K=180."""
+        table = run_error_table(
+            tiny_ro,
+            "power",
+            sample_counts=(20, 60, 180),
+            repeats=3,
+            rng=np.random.default_rng(101),
+            early_samples=600,
+        )
+        for method, errors in table.errors.items():
+            assert errors[-1] < errors[0], method
+        assert table.errors["BMF-PS"][0] < 0.75 * table.errors["OMP"][0]
+        for i in range(len(table.sample_counts)):
+            best = min(table.errors["BMF-ZM"][i], table.errors["BMF-NZM"][i])
+            assert table.errors["BMF-PS"][i] <= 1.3 * best
+
 
 class TestCostComparison:
     def test_tiny_comparison(self, tiny_ro, rng):
