@@ -10,14 +10,15 @@ BMF-ZM/BMF-NZM in every experiment of Section V.
 The sweep is made cheap by the dual-form solver: the fold kernels are
 submatrices of one precomputed K x K kernel ``B = G diag(s^2) G^T`` (see
 :class:`repro.bmf.map_estimation.KernelMapSolver`), built once in
-``O(K^2 M)``.  Candidates whose kernels and eta grids are equal -- the
-zero-mean and nonzero-mean priors share the scale ``|alpha_E|`` and so the
-kernel -- differ only in the centered target ``f - G mu``.  For each such
-group the sweep gathers every fold's ``B_TT`` / ``B_VT`` once and factors
-each fold system ``eta I + B_TT`` once per (fold, eta), solving all the
-group's centered targets as the columns of one right-hand side: ``N *
-len(grid)`` factorizations of ``O(K^3)`` per kernel, not per prior.  When
-Cholesky fails (``K >= M`` leaves ``B`` rank deficient, so small etas are
+``O(K^2 M)``.  The zero-mean and nonzero-mean priors share the scale
+``|alpha_E|`` and so the kernel: ``KernelMapSolver.for_priors`` gives
+them one array, and they differ only in the centered target ``f - G mu``.
+For each group of candidates with one kernel and one eta grid the sweep
+gathers every fold's ``B_TT`` / ``B_VT`` once and factors each fold
+system ``eta I + B_TT`` once per (fold, eta), solving all the group's
+centered targets as the columns of one right-hand side: ``N * len(grid)``
+factorizations of ``O(K^3)`` per kernel, not per prior.  When Cholesky
+fails (``K >= M`` leaves ``B`` rank deficient, so small etas are
 numerically singular), that fold's ``B_TT`` is eigendecomposed once and
 every failing eta of the fold reuses it with shifted eigenvalues: at most
 one extra ``O(K^3)`` eigendecomposition per fold.
@@ -100,6 +101,17 @@ class CrossValidationReport:
     per_prior_grids: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _eta_grid(
+    prior: GaussianCoefficientPrior,
+    eta_grids: Optional[Dict[str, Sequence[float]]],
+    num_samples: int,
+) -> np.ndarray:
+    """The caller's grid for ``prior`` if given, else :func:`default_eta_grid`."""
+    if eta_grids is not None and prior.name in eta_grids:
+        return np.asarray(list(eta_grids[prior.name]), dtype=float)
+    return default_eta_grid(prior, num_samples)
+
+
 def _fold_masks(num_samples: int, n_folds: int):
     """Deterministic interleaved fold assignment (samples are i.i.d. anyway)."""
     fold_ids = np.arange(num_samples) % n_folds
@@ -110,9 +122,10 @@ def _fold_masks(num_samples: int, n_folds: int):
 def _kernel_groups(
     solvers: Sequence[KernelMapSolver], grids: Sequence[np.ndarray]
 ) -> List[List[int]]:
-    """Candidate indices grouped by equal eta grid and equal kernel (the
-    same array, or equal by value: ``O(K^2)`` against the ``O(K^3)`` per
-    fold that sharing saves)."""
+    """Candidate indices grouped by equal eta grid and equal kernel.
+    Solvers from :meth:`KernelMapSolver.for_priors` match by identity; the
+    by-value test (``O(K^2)`` against the ``O(K^3)`` per fold that sharing
+    saves) serves solvers built one by one, as perfbench's ``fit_once``."""
     groups: List[List[int]] = []
     for index, solver in enumerate(solvers):
         for group in groups:
@@ -235,11 +248,7 @@ def select_prior_and_eta(
     """
     if not priors:
         raise ValueError("at least one candidate prior is required")
-    design = np.asarray(design, dtype=float)
-    target = np.asarray(target, dtype=float)
-    solvers = [
-        KernelMapSolver(design, target, prior, missing_scale) for prior in priors
-    ]
+    solvers = KernelMapSolver.for_priors(design, target, priors, missing_scale)
     return select_prior_and_eta_from_solvers(solvers, eta_grids, n_folds)
 
 
@@ -253,21 +262,16 @@ def select_prior_and_eta_from_solvers(
     Identical selection semantics to :func:`select_prior_and_eta` (same
     candidate order, same default grids, same fold layout), but the caller
     supplies the :class:`~repro.bmf.map_estimation.KernelMapSolver` per
-    candidate prior.  This is the streaming entry point: a sequential fit
-    keeps one solver per candidate and *extends* it with each new batch of
-    samples (``O(K * Delta-K * M)``), so re-running the full selection does
-    not pay the ``O(K^2 M)`` kernel rebuild.
+    candidate prior (from :meth:`KernelMapSolver.for_priors`, so priors of
+    one scale share a kernel).  This is the streaming entry point: a
+    sequential fit keeps its solvers and *extends* them with each new batch
+    (``O(K * Delta-K * M)``), so re-running the full selection does not pay
+    the ``O(K^2 M)`` kernel rebuild.
     """
     if not solvers:
         raise ValueError("at least one solver is required")
     num_samples = solvers[0].target.shape[0]
-    grids = []
-    for solver in solvers:
-        prior = solver.prior
-        if eta_grids is not None and prior.name in eta_grids:
-            grids.append(np.asarray(list(eta_grids[prior.name]), dtype=float))
-        else:
-            grids.append(default_eta_grid(prior, num_samples))
+    grids = [_eta_grid(s.prior, eta_grids, num_samples) for s in solvers]
     curves = _cross_validate(solvers, grids, n_folds)
     report = CrossValidationReport(prior=solvers[0].prior, eta=np.nan, error=np.inf)
     for solver, grid, errors in zip(solvers, grids, curves):

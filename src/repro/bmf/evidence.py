@@ -26,7 +26,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .cross_validation import default_eta_grid
+from .cross_validation import _eta_grid
 from .map_estimation import KernelMapSolver
 from .priors import GaussianCoefficientPrior
 
@@ -97,17 +97,20 @@ def select_prior_and_eta_by_evidence(
     """
     if not priors:
         raise ValueError("at least one candidate prior is required")
-    design = np.asarray(design, dtype=float)
-    target = np.asarray(target, dtype=float)
-    num_samples = design.shape[0]
+    solvers = KernelMapSolver.for_priors(design, target, priors, missing_scale)
+    return _select_from_solvers(solvers, eta_grids)
 
-    report = EvidenceReport(prior=priors[0], eta=np.nan, log_evidence=-np.inf)
-    for prior in priors:
-        if eta_grids is not None and prior.name in eta_grids:
-            grid = np.asarray(list(eta_grids[prior.name]), dtype=float)
-        else:
-            grid = default_eta_grid(prior, num_samples)
-        solver = KernelMapSolver(design, target, prior, missing_scale)
+
+def _select_from_solvers(
+    solvers: Sequence[KernelMapSolver],
+    eta_grids: Optional[Dict[str, Sequence[float]]] = None,
+) -> EvidenceReport:
+    """:func:`select_prior_and_eta_by_evidence` over prebuilt solvers."""
+    num_samples = solvers[0].target.shape[0]
+    report = EvidenceReport(prior=solvers[0].prior, eta=np.nan, log_evidence=-np.inf)
+    for solver in solvers:
+        prior = solver.prior
+        grid = _eta_grid(prior, eta_grids, num_samples)
         values = log_evidence(solver, grid)
         report.per_prior_log_evidence[prior.name] = values
         report.per_prior_grids[prior.name] = grid

@@ -26,7 +26,8 @@ Two solver paths are provided:
 
 from __future__ import annotations
 
-from typing import Optional
+import copy
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -147,6 +148,11 @@ class KernelMapSolver:
     an ``O(K^3)`` factorization of a kernel submatrix.  This is what makes
     the cross-validation sweep over hyper-parameter grids (Section IV-D)
     affordable: fold kernels are submatrices of the full-sample kernel.
+
+    ``B`` depends on the prior only through its effective scale, so the
+    solvers :meth:`for_priors` builds for priors of one scale share one
+    ``kernel`` array and differ only in ``prior_prediction`` and
+    ``centered_target``.  The array is read-only: copy it before writing.
     """
 
     def __init__(
@@ -158,26 +164,60 @@ class KernelMapSolver:
         deterministic: bool = False,
     ):
         design = np.asarray(design, dtype=float)
-        target = np.asarray(target, dtype=float)
-        missing_scale = prior.resolve_missing_scale(missing_scale)
-        scale = prior.effective_scale(missing_scale)
         self.design = design
-        self.target = target
+        self.target = np.asarray(target, dtype=float)
         self.prior = prior
         self.deterministic = bool(deterministic)
-        self._scale_sq = scale**2
+        self._scale_sq = _scale_sq(prior, missing_scale)
         # B = G diag(s^2) G^T, shape (K, K).  In deterministic mode the
         # contraction is blocking-independent, so a solver grown through
         # :meth:`extended` is bitwise identical to one built from scratch
         # on the stacked design (see repro.linalg.gram_kernel).
         self.kernel = gram_kernel(design, self._scale_sq, self.deterministic)
-        self.prior_prediction = self._prior_prediction(design)  # G mu
-        self.centered_target = target - self.prior_prediction
+        self.kernel.flags.writeable = False  # shared; see the class docstring
+        self.prior_prediction = self._prior_prediction(design, prior.mean)  # G mu
+        self.centered_target = self.target - self.prior_prediction
 
-    def _prior_prediction(self, design: np.ndarray) -> np.ndarray:
+    @classmethod
+    def for_priors(
+        cls,
+        design: np.ndarray,
+        target: np.ndarray,
+        priors: Sequence[GaussianCoefficientPrior],
+        missing_scale: Optional[float] = None,
+        deterministic: bool = False,
+    ) -> List["KernelMapSolver"]:
+        """One solver per prior; priors of equal effective scale share one
+        kernel, as BMF-PS's two priors of scale ``|alpha_E|`` do (Section
+        III-A).  This is where a fit decides the sharing; the CV sweep and
+        :meth:`extended` follow it."""
+        solvers: List[KernelMapSolver] = []
+        for prior in priors:
+            scale_sq = _scale_sq(prior, missing_scale)
+            twin = next(
+                (s for s in solvers if np.array_equal(s._scale_sq, scale_sq)), None
+            )
+            if twin is None:
+                solvers.append(cls(design, target, prior, missing_scale, deterministic))
+            else:
+                prediction = twin._prior_prediction(twin.design, prior.mean)
+                solvers.append(twin._with_prior(prior, prediction))
+        return solvers
+
+    def _prior_prediction(self, design: np.ndarray, mean: np.ndarray) -> np.ndarray:
         if self.deterministic:
-            return np.einsum("km,m->k", design, self.prior.mean, optimize=False)
-        return design @ self.prior.mean
+            return np.einsum("km,m->k", design, mean, optimize=False)
+        return design @ mean
+
+    def _with_prior(
+        self, prior: GaussianCoefficientPrior, prior_prediction: np.ndarray
+    ) -> "KernelMapSolver":
+        """This solver's kernel, design and target under ``prior``."""
+        twin = copy.copy(self)
+        twin.prior = prior
+        twin.prior_prediction = prior_prediction
+        twin.centered_target = twin.target - prior_prediction
+        return twin
 
     def extended(
         self,
@@ -205,57 +245,68 @@ class KernelMapSolver:
             :class:`repro.bmf.SequentialBmf`) pass views here so the grown
             solver shares their storage instead of re-concatenating.
         """
+        grown = self._extend_all(
+            [self], new_design, new_target, full_design, full_target
+        )
+        return grown[0]
+
+    @staticmethod
+    def _extend_all(
+        solvers: Sequence["KernelMapSolver"],
+        new_design: np.ndarray,
+        new_target: np.ndarray,
+        full_design: Optional[np.ndarray] = None,
+        full_target: Optional[np.ndarray] = None,
+    ) -> List["KernelMapSolver"]:
+        """:meth:`extended` on solvers built on the same rows (as by
+        :meth:`for_priors`), bordering each distinct kernel once: solvers
+        that shared a kernel share the grown one."""
+        design, target = solvers[0].design, solvers[0].target
         new_design = np.asarray(new_design, dtype=float)
         new_target = np.asarray(new_target, dtype=float)
-        if new_design.ndim != 2 or new_design.shape[1] != self.design.shape[1]:
+        if (
+            new_design.ndim != 2
+            or new_design.shape[1] != design.shape[1]
+            or new_target.shape != new_design.shape[:1]
+        ):
             raise ValueError(
-                f"new_design must have shape (dK, {self.design.shape[1]}), "
-                f"got {new_design.shape}"
+                f"new_design / new_target must have shapes (dK, "
+                f"{design.shape[1]}) / (dK,), got {new_design.shape} / "
+                f"{new_target.shape}"
             )
-        if new_target.shape != (new_design.shape[0],):
-            raise ValueError(
-                f"new_target must have shape ({new_design.shape[0]},), "
-                f"got {new_target.shape}"
-            )
-        total = self.design.shape[0] + new_design.shape[0]
-        grown = object.__new__(KernelMapSolver)
-        grown.prior = self.prior
-        grown.deterministic = self.deterministic
-        grown._scale_sq = self._scale_sq
-        grown.kernel = extend_gram_kernel(
-            self.kernel,
-            self.design,
-            new_design,
-            self._scale_sq,
-            self.deterministic,
-        )
         if full_design is None:
-            grown.design = np.concatenate([self.design, new_design], axis=0)
-        else:
-            full_design = np.asarray(full_design, dtype=float)
-            if full_design.shape != (total, self.design.shape[1]):
-                raise ValueError(
-                    f"full_design must have shape "
-                    f"({total}, {self.design.shape[1]}), got {full_design.shape}"
-                )
-            grown.design = full_design
+            full_design = np.concatenate([design, new_design], axis=0)
         if full_target is None:
-            grown.target = np.concatenate([self.target, new_target])
-        else:
-            full_target = np.asarray(full_target, dtype=float)
-            if full_target.shape != (total,):
-                raise ValueError(
-                    f"full_target must have shape ({total},), "
-                    f"got {full_target.shape}"
+            full_target = np.concatenate([target, new_target])
+        full_design = np.asarray(full_design, dtype=float)
+        full_target = np.asarray(full_target, dtype=float)
+        total = len(target) + len(new_target)
+        shapes = (full_design.shape, full_target.shape)
+        if shapes != ((total, design.shape[1]), (total,)):
+            raise ValueError(
+                f"full_design / full_target must have shapes ({total}, "
+                f"{design.shape[1]}) / ({total},), got {shapes[0]} / {shapes[1]}"
+            )
+        bordered: Dict[int, KernelMapSolver] = {}
+        grown = []
+        for solver in solvers:
+            base = bordered.get(id(solver.kernel))
+            if base is None:
+                base = bordered[id(solver.kernel)] = copy.copy(solver)
+                base.design, base.target = full_design, full_target
+                base.kernel = extend_gram_kernel(
+                    solver.kernel,
+                    design,
+                    new_design,
+                    solver._scale_sq,
+                    solver.deterministic,
                 )
-            grown.target = full_target
-        new_prior_prediction = grown._prior_prediction(new_design)
-        grown.prior_prediction = np.concatenate(
-            [self.prior_prediction, new_prior_prediction]
-        )
-        grown.centered_target = np.concatenate(
-            [self.centered_target, new_target - new_prior_prediction]
-        )
+                base.kernel.flags.writeable = False
+            # G mu of the new rows only: recomputing it over the stacked
+            # design could move the old rows' bits.
+            new_prediction = solver._prior_prediction(new_design, solver.prior.mean)
+            prediction = np.concatenate([solver.prior_prediction, new_prediction])
+            grown.append(base._with_prior(solver.prior, prediction))
         return grown
 
     def dual_weights(self, eta: float, rows: Optional[np.ndarray] = None) -> np.ndarray:
@@ -275,7 +326,10 @@ class KernelMapSolver:
 
     def solve(self, eta: float) -> np.ndarray:
         """Full MAP coefficient vector for the given ``eta``."""
-        weights = self.dual_weights(eta)
+        return self._coefficients(self.dual_weights(eta))
+
+    def _coefficients(self, weights: np.ndarray) -> np.ndarray:
+        """``alpha = mu + diag(s^2) G^T c`` from the dual weights ``c``."""
         return self.prior.mean + self._scale_sq * (self.design.T @ weights)
 
     def predict_submatrix(
@@ -293,3 +347,11 @@ class KernelMapSolver:
         weights = self.dual_weights(eta, train_rows)
         cross = self.kernel[np.ix_(eval_rows, train_rows)]
         return self.prior_prediction[eval_rows] + cross @ weights
+
+
+def _scale_sq(
+    prior: GaussianCoefficientPrior, missing_scale: Optional[float]
+) -> np.ndarray:
+    """The kernel's column weights ``s^2``: the prior's effective scale squared."""
+    return prior.effective_scale(prior.resolve_missing_scale(missing_scale)) ** 2
+

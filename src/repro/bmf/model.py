@@ -21,9 +21,9 @@ from ..regression.base import BasisRegressor, FittedModel
 from .cross_validation import (
     CrossValidationReport,
     default_eta_grid,
-    select_prior_and_eta,
+    select_prior_and_eta_from_solvers,
 )
-from .map_estimation import map_estimate
+from .map_estimation import KernelMapSolver, map_estimate
 from .priors import (
     GaussianCoefficientPrior,
     nonzero_mean_prior,
@@ -171,43 +171,18 @@ class BmfRegressor(BasisRegressor):
     def _fit_design(self, design: np.ndarray, target: np.ndarray) -> np.ndarray:
         design = np.asarray(design, dtype=float)
         target = np.asarray(target, dtype=float)
-
-        if self.eta is not None:
+        self.cv_report_ = None
+        self.evidence_report_ = None
+        if self.eta is None:
+            solvers = KernelMapSolver.for_priors(
+                design, target, self._candidate_priors, self.missing_scale
+            )
+            winner = self._select(solvers)
+            if self.solver == "fast":
+                return winner.solve(self.chosen_eta_)
+        else:
             self.chosen_prior_ = self._candidate_priors[0]
             self.chosen_eta_ = float(self.eta)
-            self.cv_report_ = None
-            self.evidence_report_ = None
-        else:
-            grids: Optional[Dict[str, Sequence[float]]] = None
-            if self.eta_grid is not None:
-                grids = {p.name: self.eta_grid for p in self._candidate_priors}
-            if self.selection == "evidence":
-                from .evidence import select_prior_and_eta_by_evidence
-
-                self.evidence_report_ = select_prior_and_eta_by_evidence(
-                    design,
-                    target,
-                    self._candidate_priors,
-                    eta_grids=grids,
-                    missing_scale=self.missing_scale,
-                )
-                self.cv_report_ = None
-                self.chosen_prior_ = self.evidence_report_.prior
-                self.chosen_eta_ = self.evidence_report_.eta
-            else:
-                n_folds = min(self.n_folds, max(2, design.shape[0] // 2))
-                self.cv_report_ = select_prior_and_eta(
-                    design,
-                    target,
-                    self._candidate_priors,
-                    eta_grids=grids,
-                    n_folds=n_folds,
-                    missing_scale=self.missing_scale,
-                )
-                self.evidence_report_ = None
-                self.chosen_prior_ = self.cv_report_.prior
-                self.chosen_eta_ = self.cv_report_.eta
-
         return map_estimate(
             design,
             target,
@@ -216,6 +191,26 @@ class BmfRegressor(BasisRegressor):
             solver=self.solver,
             missing_scale=self.missing_scale,
         )
+
+    def _select(self, solvers: Sequence[KernelMapSolver]) -> KernelMapSolver:
+        """Select (prior, eta) over one solver per candidate prior, record
+        the choice and its report (both reports start as None), and return
+        the chosen prior's solver."""
+        grids: Optional[Dict[str, Sequence[float]]] = None
+        if self.eta_grid is not None:
+            grids = {p.name: self.eta_grid for p in self._candidate_priors}
+        if self.selection == "evidence":
+            from .evidence import _select_from_solvers
+
+            report = self.evidence_report_ = _select_from_solvers(solvers, grids)
+        else:
+            n_folds = min(self.n_folds, max(2, solvers[0].target.shape[0] // 2))
+            report = self.cv_report_ = select_prior_and_eta_from_solvers(
+                solvers, grids, n_folds
+            )
+        self.chosen_prior_ = report.prior
+        self.chosen_eta_ = report.eta
+        return next(s for s in solvers if s.prior is report.prior)
 
     def fit(self, x: np.ndarray, f: np.ndarray) -> "BmfRegressor":
         """Fit from raw samples, keeping the design matrix for uncertainty.

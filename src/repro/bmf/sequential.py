@@ -10,15 +10,20 @@ enough.  :class:`SequentialBmf` supports that workflow:
 * the Section IV-C fast solver is used *incrementally*: the dual kernel
   ``B = G diag(s^2) G^T`` is grown by a rank-k border update per batch
   (``O(K * Delta-K * M)`` via :func:`repro.linalg.extend_gram_kernel`)
-  instead of being rebuilt from scratch (``O(K^2 M)``), and for a fixed
-  hyper-parameter the Cholesky factor of ``eta I + B`` is border-updated
-  too (:class:`repro.linalg.CholeskyFactor`);
+  instead of being rebuilt from scratch (``O(K^2 M)``), once for every
+  candidate prior of its scale (BMF-PS's two priors share one kernel),
+  and for a fixed hyper-parameter the Cholesky factor of ``eta I + B`` is
+  border-updated too (:class:`repro.linalg.CholeskyFactor`);
 * when conditioning degrades (degenerate kernel/Schur pivots, detected by
   :func:`repro.linalg.is_effectively_zero`-style scale checks) the refit
   falls back to a full rebuild -- counted in ``woodbury.fallbacks``;
 * the cross-validation error of every refit is recorded, giving a
   monitorable convergence curve, and :meth:`has_converged` implements a
-  plateau test on that curve.
+  plateau test on that curve;
+* :meth:`export_state` / :meth:`rearm` resume a stream in a new process:
+  a non-incremental fitter re-arms by refitting through its own selection
+  and solver, an incremental one by rebuilding its kernel and adopting the
+  persisted Cholesky factor.
 
 Construction parameters are captured in an immutable
 :class:`SequentialBmfConfig` snapshot, so refits can never observe caller
@@ -41,7 +46,6 @@ import numpy as np
 from ..faults import InjectedFault, failpoint
 from ..linalg import CholeskyFactor, SolverError, is_effectively_zero
 from ..runtime.metrics import metrics as runtime_metrics
-from .cross_validation import select_prior_and_eta_from_solvers
 from .map_estimation import KernelMapSolver
 from .model import BmfRegressor
 
@@ -375,10 +379,12 @@ class SequentialBmf:
         self.last_refit_mode = "full"
         if self._model.cv_report_ is not None:
             return float(self._model.cv_report_.error)
-        # Fixed-eta / evidence fits have no CV error; track training error.
-        residual = self._f - self._model.predict(self._x)
+        return self._training_error(self._model.predict(self._x))
+
+    def _training_error(self, predictions: np.ndarray) -> float:
+        """Fixed-eta / evidence fits have no CV error; track training error."""
         norm = max(float(np.linalg.norm(self._f)), 1e-300)
-        return float(np.linalg.norm(residual)) / norm
+        return float(np.linalg.norm(self._f - predictions)) / norm
 
     # ------------------------------------------------------------------
     # Incremental refit (streaming Woodbury path)
@@ -393,15 +399,9 @@ class SequentialBmf:
         else:
             full_design = np.concatenate([self._design, design_new], axis=0)
             try:
-                grown = [
-                    solver.extended(
-                        design_new,
-                        f_new,
-                        full_design=full_design,
-                        full_target=self._f,
-                    )
-                    for solver in self._solvers
-                ]
+                grown = KernelMapSolver._extend_all(
+                    self._solvers, design_new, f_new, full_design, self._f
+                )
                 self._check_extension_conditioning(grown)
             except SolverError:
                 runtime_metrics.increment("woodbury.fallbacks")
@@ -417,17 +417,13 @@ class SequentialBmf:
 
     def _build_solvers(self) -> None:
         """(Re)build one kernel solver per candidate prior from scratch."""
-        missing_scale = self.config.regressor_kwargs.get("missing_scale")
-        self._solvers = [
-            KernelMapSolver(
-                self._design,
-                self._f,
-                prior,
-                missing_scale,
-                deterministic=self.deterministic,
-            )
-            for prior in self._candidate_priors
-        ]
+        self._solvers = KernelMapSolver.for_priors(
+            self._design,
+            self._f,
+            self._candidate_priors,
+            self.config.regressor_kwargs.get("missing_scale"),
+            deterministic=self.deterministic,
+        )
         self._chol = None
         self._chol_prior_index = None
 
@@ -442,8 +438,8 @@ class SequentialBmf:
         the caller to rebuild from scratch instead.
         """
         num_new = grown[0].kernel.shape[0] - self._solvers[0].kernel.shape[0]
-        for solver in grown:
-            diag = np.diagonal(solver.kernel)
+        for kernel in {id(solver.kernel): solver.kernel for solver in grown}.values():
+            diag = np.diagonal(kernel)
             scale = float(np.max(diag, initial=0.0))
             for entry in diag[-num_new:]:
                 if entry < 0 or is_effectively_zero(entry, scale=scale):
@@ -453,58 +449,33 @@ class SequentialBmf:
 
     def _solve_from_solvers(self) -> float:
         """Hyper-parameter selection + MAP solve on the cached solvers."""
-        kwargs = self.config.regressor_kwargs
-        eta = kwargs.get("eta")
-        cv_report = None
-        if eta is not None:
-            prior_index = 0
-            chosen_eta = float(eta)
-        else:
-            eta_grid = kwargs.get("eta_grid")
-            grids = None
-            if eta_grid is not None:
-                grids = {p.name: list(eta_grid) for p in self._candidate_priors}
-            n_folds = min(
-                self.config.n_folds, max(2, self._design.shape[0] // 2)
-            )
-            cv_report = select_prior_and_eta_from_solvers(
-                self._solvers, grids, n_folds
-            )
-            prior_index = next(
-                i
-                for i, s in enumerate(self._solvers)
-                if s.prior is cv_report.prior
-            )
-            chosen_eta = float(cv_report.eta)
-
-        solver = self._solvers[prior_index]
-        coefficients = self._map_solve(solver, prior_index, chosen_eta)
-
         model = self.config.make_regressor()
-        model.chosen_prior_ = solver.prior
-        model.chosen_eta_ = chosen_eta
-        model.cv_report_ = cv_report
-        model.evidence_report_ = None
-        model.coefficients_ = coefficients
+        if model.eta is None:
+            solver = model._select(self._solvers)
+            prior_index = self._solvers.index(solver)
+        else:
+            prior_index = 0
+            solver = self._solvers[0]
+            model.chosen_prior_ = solver.prior
+            model.chosen_eta_ = float(model.eta)
+        model.coefficients_ = self._map_solve(solver, prior_index, model.chosen_eta_)
         model._train_design = self._design
         self._model = model
 
-        if cv_report is not None:
-            return float(cv_report.error)
-        predictions = self._design @ coefficients
-        residual = self._f - predictions
-        norm = max(float(np.linalg.norm(self._f)), 1e-300)
-        return float(np.linalg.norm(residual)) / norm
+        if model.cv_report_ is not None:
+            return float(model.cv_report_.error)
+        return self._training_error(self._design @ model.coefficients_)
 
     def _map_solve(
         self, solver: KernelMapSolver, prior_index: int, eta: float
     ) -> np.ndarray:
-        """MAP coefficients, border-updating the dual Cholesky when possible.
+        """MAP coefficients, reusing the cached dual Cholesky when possible.
 
-        The cached factor of ``eta I + B`` stays valid across batches only
-        for a fixed eta and a stable chosen prior; cross-validated refits
-        (eta changes per batch) and deterministic mode (border updates are
-        not blocking-independent) always re-factor.
+        The cached factor of ``eta I + B`` stays valid only for a fixed eta
+        and a stable chosen prior: one that covers the kernel (re-armed, or
+        after an empty batch) is used as is, a smaller one border-updated.
+        Cross-validated refits (eta changes per batch) and deterministic
+        mode (border updates are not blocking-independent) re-factor.
         """
         fixed_eta = self.config.regressor_kwargs.get("eta") is not None
         if not fixed_eta or self.deterministic:
@@ -516,19 +487,19 @@ class SequentialBmf:
         reusable = (
             factor is not None
             and self._chol_prior_index == prior_index
-            and factor.size < size
+            and factor.size <= size
         )
         try:
-            if reusable:
+            if not reusable:
+                system = kernel.copy()
+                system[np.diag_indices_from(system)] += eta
+                factor = CholeskyFactor(system)
+            elif factor.size < size:
                 old = factor.size
                 cross = kernel[:old, old:]
                 corner = kernel[old:, old:].copy()
                 corner[np.diag_indices_from(corner)] += eta
                 factor.append(cross, corner)
-            else:
-                system = kernel.copy()
-                system[np.diag_indices_from(system)] += eta
-                factor = CholeskyFactor(system)
         except SolverError:
             runtime_metrics.increment("woodbury.fallbacks")
             self._chol = None
@@ -536,8 +507,7 @@ class SequentialBmf:
             return solver.solve(eta)  # robust solve_spd path
         self._chol = factor
         self._chol_prior_index = prior_index
-        weights = factor.solve(solver.centered_target)
-        return solver.prior.mean + solver._scale_sq * (solver.design.T @ weights)
+        return solver._coefficients(factor.solve(solver.centered_target))
 
     # ------------------------------------------------------------------
     # Warm restart (crash recovery; see docs/store.md)
@@ -563,14 +533,16 @@ class SequentialBmf:
     def rearm(self, state: SequentialFitterState) -> "SequentialBmf":
         """Restore a fresh fitter from a persisted snapshot.
 
-        Reinstalls the samples, rebuilds the design matrix and kernel
-        solvers from the (immutable) config, and -- on the fixed-eta
-        incremental path -- adopts the persisted Cholesky factor via
-        :meth:`repro.linalg.CholeskyFactor.from_lower`, so the next
-        :meth:`add_samples` call border-updates exactly where the dead
-        process stopped instead of re-factoring ``eta I + B`` from
-        scratch.  The restored model's coefficients are recomputed from
-        that factor (two triangular solves), not refitted.
+        A fitter whose refits run from scratch (``selection="evidence"``,
+        ``solver="direct"`` or ``incremental=False``) refits the samples
+        through its own selection and solver.  An incremental one rebuilds
+        the design matrix and kernel solvers from the (immutable) config
+        and, on the fixed-eta path, adopts the persisted Cholesky factor
+        (:meth:`repro.linalg.CholeskyFactor.from_lower`) as its cached
+        factor: the restored coefficients come from that factor (two
+        triangular solves), and the next :meth:`add_samples` call
+        border-updates exactly where the dead process stopped instead of
+        re-factoring ``eta I + B`` from scratch.
 
         Only a fresh fitter (no samples yet) can be re-armed, and the
         snapshot must match the configured basis; violations raise
@@ -594,60 +566,39 @@ class SequentialBmf:
         self._x = np.array(state.x, dtype=float)
         self._f = np.array(state.f, dtype=float)
         with runtime_metrics.timer("sequential.rearm"):
-            self._design = self.config.basis.design_matrix(self._x)
-            self._build_solvers()
-            cv_error = self._rearm_solve(state)
+            if self._incremental_capable():
+                self._design = self.config.basis.design_matrix(self._x)
+                self._build_solvers()
+                self._adopt_factor(state)
+                cv_error = self._solve_from_solvers()
+            else:
+                cv_error = self._refit_full()
         self.last_refit_mode = "rearmed"
         self.cv_error_history.append(cv_error)
         self.sample_count_history.append(self.num_samples)
         runtime_metrics.increment("sequential.rearms")
         return self
 
-    def _rearm_solve(self, state: SequentialFitterState) -> float:
-        """Recompute the served model, adopting the persisted factor."""
-        eta = self.config.regressor_kwargs.get("eta")
-        use_factor = (
-            state.chol_lower is not None
-            and eta is not None
-            and not self.deterministic
-            and self._incremental_capable()
-        )
-        if not use_factor:
-            return self._solve_from_solvers()
-
+    def _adopt_factor(self, state: SequentialFitterState) -> None:
+        """Cache the snapshot's factor when the fixed-eta path will use it."""
+        fixed_eta = self.config.regressor_kwargs.get("eta") is not None
+        if state.chol_lower is None or not fixed_eta or self.deterministic:
+            return
         prior_index = int(state.chol_prior_index)
         if not 0 <= prior_index < len(self._solvers):
             raise ValueError(
                 f"snapshot prior index {prior_index} out of range for "
                 f"{len(self._solvers)} candidate priors"
             )
-        solver = self._solvers[prior_index]
         factor = CholeskyFactor.from_lower(state.chol_lower)
-        if factor.size != solver.kernel.shape[0]:
+        size = self._solvers[prior_index].kernel.shape[0]
+        if factor.size != size:
             raise ValueError(
                 f"snapshot factor is {factor.size}x{factor.size} but the "
-                f"kernel over the snapshot samples is "
-                f"{solver.kernel.shape[0]}x{solver.kernel.shape[0]}"
+                f"kernel over the snapshot samples is {size}x{size}"
             )
         self._chol = factor
         self._chol_prior_index = prior_index
-        weights = factor.solve(solver.centered_target)
-        coefficients = solver.prior.mean + solver._scale_sq * (
-            solver.design.T @ weights
-        )
-
-        model = self.config.make_regressor()
-        model.chosen_prior_ = solver.prior
-        model.chosen_eta_ = float(eta)
-        model.cv_report_ = None
-        model.evidence_report_ = None
-        model.coefficients_ = coefficients
-        model._train_design = self._design
-        self._model = model
-
-        residual = self._f - self._design @ coefficients
-        norm = max(float(np.linalg.norm(self._f)), 1e-300)
-        return float(np.linalg.norm(residual)) / norm
 
     # ------------------------------------------------------------------
     def predict(self, x: np.ndarray) -> np.ndarray:

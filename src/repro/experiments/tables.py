@@ -17,7 +17,6 @@ matching Section V).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -48,8 +47,6 @@ class ErrorTable:
         Method name -> mean relative error per ``K``, shape ``(len(counts),)``.
     stds:
         Method name -> standard deviation over repeats.
-    fit_seconds:
-        Method name -> mean fitting wall-clock per ``K``.
     repeats:
         Number of independent train/test draws averaged.
     """
@@ -59,7 +56,6 @@ class ErrorTable:
     sample_counts: Tuple[int, ...]
     errors: Dict[str, np.ndarray]
     stds: Dict[str, np.ndarray]
-    fit_seconds: Dict[str, np.ndarray]
     repeats: int
     early_error: float = float("nan")
 
@@ -142,7 +138,6 @@ def run_error_table(
     late_basis = problem.late_basis
 
     per_run: Dict[str, list] = {m: [] for m in methods}
-    per_run_time: Dict[str, list] = {m: [] for m in methods}
     early_errors = []
 
     for _run in range(repeats):
@@ -161,7 +156,6 @@ def run_error_table(
         )
 
         run_errors = {m: np.empty(len(sample_counts)) for m in methods}
-        run_times = {m: np.empty(len(sample_counts)) for m in methods}
         for i, count in enumerate(sample_counts):
             design = design_pool[:count]
             target = target_pool[:count]
@@ -176,24 +170,19 @@ def run_error_table(
                 n_folds,
             )
             for m in methods:
-                coefficients, elapsed = results[m]
-                prediction = design_test @ coefficients
+                prediction = design_test @ results[m]
                 run_errors[m][i] = relative_error(prediction, target_test)
-                run_times[m][i] = elapsed
         for m in methods:
             per_run[m].append(run_errors[m])
-            per_run_time[m].append(run_times[m])
 
     errors = {m: np.mean(per_run[m], axis=0) for m in methods}
     stds = {m: np.std(per_run[m], axis=0) for m in methods}
-    fit_seconds = {m: np.mean(per_run_time[m], axis=0) for m in methods}
     return ErrorTable(
         testbench.name,
         metric,
         sample_counts,
         errors,
         stds,
-        fit_seconds,
         repeats,
         early_error=float(np.mean(early_errors)),
     )
@@ -208,22 +197,19 @@ def _fit_all(
     missing,
     omp_max_terms,
     n_folds,
-) -> Dict[str, Tuple[np.ndarray, float]]:
+) -> Dict[str, np.ndarray]:
     """Fit every requested method on one (design, target) pair."""
-    results: Dict[str, Tuple[np.ndarray, float]] = {}
+    results: Dict[str, np.ndarray] = {}
 
     if "OMP" in methods:
-        start = time.perf_counter()
         omp = OrthogonalMatchingPursuit(late_basis, max_terms=omp_max_terms)
-        coefficients = omp.fit_design(design, target)
-        results["OMP"] = (coefficients, time.perf_counter() - start)
+        results["OMP"] = omp.fit_design(design, target)
 
     bmf_variants = {}
     for method, kind in (("BMF-ZM", "zero-mean"), ("BMF-NZM", "nonzero-mean")):
         wanted = method in methods or "BMF-PS" in methods
         if not wanted:
             continue
-        start = time.perf_counter()
         regressor = BmfRegressor(
             late_basis,
             aligned,
@@ -232,15 +218,11 @@ def _fit_all(
             n_folds=n_folds,
         )
         coefficients = regressor.fit_design(design, target)
-        elapsed = time.perf_counter() - start
-        bmf_variants[method] = (coefficients, elapsed, regressor.cv_report_.error)
+        bmf_variants[method] = (coefficients, regressor.cv_report_.error)
         if method in methods:
-            results[method] = (coefficients, elapsed)
+            results[method] = coefficients
 
     if "BMF-PS" in methods:
         # Prior selection: the winner of the two cross-validation errors.
-        winner = min(bmf_variants.values(), key=lambda item: item[2])
-        # PS pays both CV sweeps; its fitting time is the sum.
-        total_time = sum(item[1] for item in bmf_variants.values())
-        results["BMF-PS"] = (winner[0], total_time)
+        results["BMF-PS"] = min(bmf_variants.values(), key=lambda item: item[1])[0]
     return results

@@ -5,6 +5,9 @@ import pytest
 
 from repro.basis import OrthonormalBasis
 from repro.bmf import SequentialBmf
+from repro.circuits.base import Stage
+from repro.circuits.modeling import FusionProblem
+from repro.montecarlo import simulate_dataset
 from repro.regression import relative_error
 
 
@@ -108,3 +111,43 @@ class TestSequentialBmf:
         seq.add_samples(*batch(10))
         assert len(seq.cv_error_history) == 1
         assert seq.cv_error_history[0] >= 0
+
+
+class TestRearmNonIncremental:
+    """A fitter whose refits run from scratch re-arms through its own
+    selection and solver, so a warm restart serves the model the dead
+    process served."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"selection": "evidence"}, {"solver": "direct"}, {"incremental": False}],
+        ids=["evidence", "direct", "non-incremental"],
+    )
+    def test_rearmed_model_equals_uninterrupted(self, tiny_ro, kwargs):
+        problem = FusionProblem(tiny_ro, "power")
+        rng = np.random.default_rng(0)
+        early = problem.fit_early_model(400, rng, method="ridge")
+        data = simulate_dataset(tiny_ro, Stage.POST_LAYOUT, 40, rng, ["power"])
+        x, f = data.x, data.metric("power")
+
+        def fitter():
+            return SequentialBmf(
+                problem.late_basis,
+                problem.align_early_coefficients(early),
+                missing_indices=problem.missing_indices(),
+                **kwargs,
+            )
+
+        live = fitter()
+        live.add_samples(x[:20], f[:20])
+        live.add_samples(x[20:], f[20:])
+        rearmed = fitter().rearm(live.export_state())
+        assert rearmed.last_refit_mode == "rearmed"
+        expected, actual = live.model, rearmed.model
+        assert np.array_equal(actual.coefficients_, expected.coefficients_)
+        assert actual.chosen_prior_.name == expected.chosen_prior_.name
+        assert actual.chosen_eta_ == expected.chosen_eta_
+        assert (actual.cv_report_ is None) == (expected.cv_report_ is None)
+        assert (actual.evidence_report_ is None) == (
+            expected.evidence_report_ is None
+        )
