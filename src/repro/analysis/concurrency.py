@@ -124,10 +124,8 @@ DEFAULT_SEED_EDGES: Tuple[Tuple[str, str], ...] = (
     ("ShardRouter._lock", "ModelRegistry._lock"),
     ("ShardRouter._lock", "JournalFollower._lock"),
     ("JournalFollower._lock", "ModelStore._lock"),
-    # engine stats/stop paths look at queue depth and breaker state.
+    # the engine stop path looks at the queue while tearing down.
     ("PredictionEngine._state_lock", "_BoundedRequestQueue._cond"),
-    ("PredictionEngine._stats_lock", "_BoundedRequestQueue._cond"),
-    ("PredictionEngine._stats_lock", "CircuitBreaker._lock"),
 )
 
 

@@ -445,13 +445,13 @@ class UndeclaredMetricRule(Rule):
     applies_to_tests = False
 
     def _is_metrics_receiver(self, receiver: ast.AST) -> bool:
-        if isinstance(receiver, ast.Name):
-            return receiver.id in ("metrics", "_metrics")
+        """A name or attribute whose last part ends in ``metrics``
+        (``metrics``, ``runtime_metrics``, ``self._metrics``), or a call
+        of one (``_metrics()``)."""
         if isinstance(receiver, ast.Call):
-            dotted = _dotted_name(receiver.func)
-            return dotted is not None and dotted.rsplit(".", 1)[-1] == "_metrics"
+            receiver = receiver.func
         dotted = _dotted_name(receiver)
-        return dotted is not None and dotted.rsplit(".", 1)[-1] == "metrics"
+        return dotted is not None and dotted.rsplit(".", 1)[-1].endswith("metrics")
 
     def check(self, node: ast.AST, ctx: LintContext) -> Iterator[Violation]:
         func = node.func

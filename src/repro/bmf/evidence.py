@@ -22,7 +22,7 @@ No folds, no refits -- and it uses all K samples for both "fitting" and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,10 +50,20 @@ def log_evidence(solver: KernelMapSolver, etas: Sequence[float]) -> np.ndarray:
         ``log L*(eta)`` up to the common additive constant, one entry per
         candidate.
     """
+    return _log_evidence(np.linalg.eigh(solver.kernel), solver, etas)
+
+
+def _log_evidence(
+    spectrum: Tuple[np.ndarray, np.ndarray],
+    solver: KernelMapSolver,
+    etas: Sequence[float],
+) -> np.ndarray:
+    """:func:`log_evidence` given ``np.linalg.eigh(solver.kernel)``, so
+    solvers that share a kernel share one decomposition."""
     etas = np.asarray(list(etas), dtype=float)
     if np.any(etas <= 0):
         raise ValueError("all eta values must be positive")
-    eigenvalues, eigenvectors = np.linalg.eigh(solver.kernel)
+    eigenvalues, eigenvectors = spectrum
     eigenvalues = np.maximum(eigenvalues, 0.0)
     projected = eigenvectors.T @ solver.centered_target
     num_samples = projected.shape[0]
@@ -105,13 +115,19 @@ def _select_from_solvers(
     solvers: Sequence[KernelMapSolver],
     eta_grids: Optional[Dict[str, Sequence[float]]] = None,
 ) -> EvidenceReport:
-    """:func:`select_prior_and_eta_by_evidence` over prebuilt solvers."""
+    """:func:`select_prior_and_eta_by_evidence` over prebuilt solvers,
+    decomposing each distinct kernel once (solvers from
+    :meth:`KernelMapSolver.for_priors` share equal kernels by identity)."""
     num_samples = solvers[0].target.shape[0]
     report = EvidenceReport(prior=solvers[0].prior, eta=np.nan, log_evidence=-np.inf)
+    spectra: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for solver in solvers:
         prior = solver.prior
         grid = _eta_grid(prior, eta_grids, num_samples)
-        values = log_evidence(solver, grid)
+        spectrum = spectra.get(id(solver.kernel))
+        if spectrum is None:
+            spectrum = spectra[id(solver.kernel)] = np.linalg.eigh(solver.kernel)
+        values = _log_evidence(spectrum, solver, grid)
         report.per_prior_log_evidence[prior.name] = values
         report.per_prior_grids[prior.name] = grid
         best = int(np.argmax(values))

@@ -441,7 +441,7 @@ class SequentialBmf:
         for kernel in {id(solver.kernel): solver.kernel for solver in grown}.values():
             diag = np.diagonal(kernel)
             scale = float(np.max(diag, initial=0.0))
-            for entry in diag[-num_new:]:
+            for entry in diag[len(diag) - num_new :]:
                 if entry < 0 or is_effectively_zero(entry, scale=scale):
                     raise SolverError(
                         "degenerate kernel diagonal in incremental extension"

@@ -9,7 +9,8 @@ table/figure records how much work (and how many cache hits) it cost.
 The registry is deliberately tiny: integer counters and accumulated
 wall-clock timers behind one lock, cheap enough to leave enabled
 everywhere.  Names are dotted strings (``"design_matrix.cells"``,
-``"design_cache.hits"``, ``"montecarlo.samples"``).
+``"design_cache.hits"``, ``"montecarlo.samples"``).  A component that
+needs its own counts emits through a :meth:`MetricsRegistry.scope`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..locks import named_lock
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import AbstractSet, Dict, Iterator
+from typing import AbstractSet, Dict, Iterator, Optional
 
 __all__ = [
     "TimerStat",
@@ -47,12 +48,30 @@ class MetricsRegistry:
         self._lock = named_lock("runtime.metrics")
         self._counters: Dict[str, int] = {}
         self._timers: Dict[str, TimerStat] = {}
+        self._parent: Optional[MetricsRegistry] = None
+
+    def scope(self) -> "MetricsRegistry":
+        """A child registry whose increments and timers also land here.
+
+        The owner of a scope reads its own counts from the child while
+        this registry keeps the total over every child and every direct
+        call.  The child releases its lock before it calls this registry,
+        so a scope adds no lock-order edge.  :meth:`reset` clears only
+        the registry it is called on.
+        """
+        child = MetricsRegistry()
+        # Its own lock name, so the watchdog would see a child -> parent edge.
+        child._lock = named_lock("runtime.metrics.scope")
+        child._parent = self
+        return child
 
     # -- counters ------------------------------------------------------
     def increment(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to the named counter (creating it at zero)."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + int(amount)
+        if self._parent is not None:
+            self._parent.increment(name, amount)
 
     def count(self, name: str) -> int:
         """Current value of a counter (0 if never incremented)."""
@@ -67,11 +86,15 @@ class MetricsRegistry:
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                stat = self._timers.setdefault(name, TimerStat())
-                stat.calls += 1
-                stat.seconds += elapsed
+            self._add_time(name, time.perf_counter() - start)
+
+    def _add_time(self, name: str, elapsed: float) -> None:
+        with self._lock:
+            stat = self._timers.setdefault(name, TimerStat())
+            stat.calls += 1
+            stat.seconds += elapsed
+        if self._parent is not None:
+            self._parent._add_time(name, elapsed)
 
     def timer_stat(self, name: str) -> TimerStat:
         """Copy of the named timer's accumulated state."""

@@ -43,8 +43,9 @@ Throughput and latency are reported through :mod:`repro.runtime.metrics`:
 ``serving.evaluate`` timer, plus the resilience counters
 (``serving.expired`` / ``retries`` / ``degraded`` / ``failed``, the
 ``serving.shed.*`` load-shedding counters, and the ``serving.breaker.*``
-transitions); per-request wall-clock lives in
-:meth:`PredictionEngine.stats`.
+transitions, which the breaker counts).  The engine counts its own events
+once, through its scope of that registry (:attr:`PredictionEngine.metrics`),
+which :meth:`PredictionEngine.stats` reads.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import queue
 import threading
 from ..locks import named_condition, named_lock
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
@@ -403,21 +404,11 @@ class PredictionEngine:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._running = False
         self._state_lock = named_lock("serving.engine.state")
+        #: This engine's counts; each also lands in the global registry.
+        self.metrics = metrics.scope()
         self._stats_lock = named_lock("serving.engine.stats")
-        self._requests = 0
-        self._batches = 0
         self._rows = 0
-        self._latency_total = 0.0
-        self._latency_max = 0.0
-        self._expired = 0
-        self._retries = 0
-        self._degraded = 0
-        self._failed = 0
         self._max_version_lag = 0
-        self._shed_expired = 0
-        self._shed_rejected = 0
-        self._cancelled = 0
-        self._brownout_shed = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -479,7 +470,7 @@ class PredictionEngine:
             if item is _STOP:
                 continue
             if not item.future.done():
-                metrics.increment("serving.shutdown_drops")
+                self.metrics.increment("serving.shutdown_drops")
                 item.future.set_exception(
                     EngineStoppedError(
                         "engine stopped before the request was evaluated"
@@ -559,9 +550,9 @@ class PredictionEngine:
                 transition = "recovered" if is_ready else "degraded"
             self._last_ready = is_ready
         if transition == "degraded":
-            metrics.increment("serving.health.degraded")
+            self.metrics.increment("serving.health.degraded")
         elif transition == "recovered":
-            metrics.increment("serving.health.recovered")
+            self.metrics.increment("serving.health.recovered")
         return is_ready
 
     # ------------------------------------------------------------------
@@ -609,8 +600,7 @@ class PredictionEngine:
         if self.brownout is not None and not self.brownout.admit(
             priority, self.health_score()
         ):
-            with self._stats_lock:
-                self._brownout_shed += 1
+            self.metrics.increment("serving.brownout.shed")
             raise BrownoutShedError(
                 f"request for {name!r} (priority {priority}) shed by "
                 "brownout: engine health degraded"
@@ -625,16 +615,13 @@ class PredictionEngine:
         for stale in shed:
             self._shed(stale)
         if not admitted:
-            metrics.increment("serving.shed.rejected")
-            with self._stats_lock:
-                self._shed_rejected += 1
+            self.metrics.increment("serving.shed.rejected")
             raise EngineOverloadedError(
                 f"request queue full ({self.queue_bound()} deep); "
                 f"request for {name!r} rejected"
             )
-        metrics.increment("serving.requests")
+        self.metrics.increment("serving.requests")
         with self._stats_lock:
-            self._requests += 1
             self._rows += x.shape[0]
         return request.future
 
@@ -717,9 +704,7 @@ class PredictionEngine:
                 return
 
     def _expire(self, request: _Request) -> None:
-        metrics.increment("serving.expired")
-        with self._stats_lock:
-            self._expired += 1
+        self.metrics.increment("serving.expired")
         if not request.future.done():
             request.future.set_exception(
                 DeadlineExpiredError(
@@ -729,9 +714,7 @@ class PredictionEngine:
 
     def _shed(self, request: _Request) -> None:
         """Fail a queued request evicted by overload admission control."""
-        metrics.increment("serving.shed.expired")
-        with self._stats_lock:
-            self._shed_expired += 1
+        self.metrics.increment("serving.shed.expired")
         if not request.future.done():
             request.future.set_exception(
                 DeadlineExpiredError(
@@ -777,8 +760,8 @@ class PredictionEngine:
                     if not request.future.done():  # a cancel may have landed
                         request.future.set_exception(exc)
                 continue
-            metrics.increment("serving.batches")
-            metrics.increment("serving.batch_size", len(requests))
+            self.metrics.increment("serving.batches")
+            self.metrics.increment("serving.batch_size", len(requests))
             if pool is None:  # stop() raced the flush; evaluate inline
                 self._evaluate(version, requests)
             else:
@@ -791,7 +774,7 @@ class PredictionEngine:
         _FP_EVALUATE.hit(tag=self.fault_tag)
         basis = version.model.basis
         coefficients = version.model.coefficients
-        with metrics.timer("serving.evaluate"):
+        with self.metrics.timer("serving.evaluate"):
             # Overflow is converted to an explicit error below, not a warning.
             with np.errstate(over="ignore", invalid="ignore"):
                 values = basis.fused_predict(
@@ -803,14 +786,14 @@ class PredictionEngine:
                 "non-finite predictions"
             )
         if self._reduced_precision:
-            metrics.increment("backends.float32_serves")
+            self.metrics.increment("backends.float32_serves")
             if contracts_enabled():
                 # The float32 accuracy contract: re-evaluate the batch in
                 # float64 and bound the drift.  A violation raises
                 # ContractViolationError (a TypeError), which the retry and
                 # breaker layers classify as a caller error -- an accuracy
                 # bound miss says nothing about the version's health.
-                metrics.increment("backends.float32_bound_checks")
+                self.metrics.increment("backends.float32_bound_checks")
                 with np.errstate(over="ignore", invalid="ignore"):
                     reference = basis.fused_predict(stacked, coefficients)
                 check_close(
@@ -831,9 +814,7 @@ class PredictionEngine:
         deadline: Optional[Deadline],
     ) -> np.ndarray:
         def on_retry(error: BaseException, delay: float) -> None:
-            metrics.increment("serving.retries")
-            with self._stats_lock:
-                self._retries += 1
+            self.metrics.increment("serving.retries")
 
         return self.retry_policy.call(
             lambda: self._attempt(version, stacked),
@@ -843,18 +824,6 @@ class PredictionEngine:
             on_retry=on_retry,
         )
 
-    def _cancelled_drop(self, request: _Request) -> None:
-        """Account a request whose future was cancelled while queued.
-
-        The cancellation-aware lifecycle: a hedged request's losing
-        attempt (or any caller-side ``Future.cancel()``) that is still
-        queued is dropped here *before* any stacking or design-matrix
-        work -- a cancelled hedge costs its queue slot and nothing else.
-        """
-        metrics.increment("serving.cancelled")
-        with self._stats_lock:
-            self._cancelled += 1
-
     def _evaluate(self, version: ModelVersion, requests: List[_Request]) -> None:
         live: List[_Request] = []
         for request in requests:
@@ -863,10 +832,11 @@ class PredictionEngine:
                 self._expire(request)
             elif not request.future.set_running_or_notify_cancel():
                 # Cancelled while queued (hedge loser, caller gave up):
-                # skip it before it costs evaluation work.  Futures that
-                # survive this gate are RUNNING and can no longer be
-                # cancelled, so the set_result below cannot race a cancel.
-                self._cancelled_drop(request)
+                # dropped before any stacking or design-matrix work.
+                # Futures that survive this gate are RUNNING and can no
+                # longer be cancelled, so the set_result below cannot race
+                # a cancel.
+                self.metrics.increment("serving.cancelled")
             else:
                 live.append(request)
         if not live:
@@ -924,9 +894,8 @@ class PredictionEngine:
                         breaker.record_success(fallback.key)
                     served = fallback
                     lag = version.version - fallback.version
-                    metrics.increment("serving.degraded")
+                    self.metrics.increment("serving.degraded")
                     with self._stats_lock:
-                        self._degraded += 1
                         if lag > self._max_version_lag:
                             self._max_version_lag = lag
 
@@ -935,9 +904,7 @@ class PredictionEngine:
                 error = ModelEvaluationError(
                     f"no servable version of model {name!r}"
                 )
-            metrics.increment("serving.failed", len(live))
-            with self._stats_lock:
-                self._failed += len(live)
+            self.metrics.increment("serving.failed", len(live))
             for request in live:
                 self.health.observe_outcome(False)
                 if not request.future.done():
@@ -951,74 +918,64 @@ class PredictionEngine:
             request.future.set_result(values[offset : offset + rows])
             offset += rows
             latency = done - request.enqueued_at
-            # Feed the health tracker (always; pure bookkeeping) and the
-            # AIMD limiter (opt-in) with the served latency.
+            # Feed the health tracker (always; its digest is where stats()
+            # reads latency) and the AIMD limiter (opt-in).
             self.health.observe_latency(latency)
             self.health.observe_outcome(True)
             if self.limiter is not None:
                 self.limiter.observe(latency)
-            with self._stats_lock:
-                self._latency_total += latency
-                if latency > self._latency_max:
-                    self._latency_max = latency
-        with self._stats_lock:
-            self._batches += 1
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """One point-in-time-consistent snapshot of the engine's state.
+        """Snapshot of the engine's counts, queue, health and breaker.
 
         Numeric keys plus ``"breaker"``, a nested per-model-key state map
-        (empty when the breaker is disabled).  Everything -- counters,
-        queue depths, and the breaker snapshot -- is gathered inside a
-        single ``_stats_lock`` critical section, so the returned mapping
-        is internally consistent: no counter in it can reflect an event
-        that another key has not seen yet.  (Previously the breaker was
-        snapshotted *after* the lock was released, so a failure landing
-        in that window produced a stats dict whose breaker state was
-        newer than its ``failed`` count.)
+        (empty when the breaker is disabled).  Event counts come from the
+        engine's scope (:attr:`metrics`): ``batches`` counts dispatched
+        groups and ``mean_batch_requests`` is ``serving.batch_size /
+        serving.batches``.  Latency mean and max are exact figures over
+        *served* requests, read from the health tracker's digest.  Each
+        source is read once under its own lock, so under live traffic two
+        keys may be a few events apart.
         """
-        # Health inputs are gathered before the stats lock: the tracker,
-        # limiter, and brownout controller have locks of their own and
-        # nesting them under _stats_lock would add lock-order edges for
-        # no consistency gain (they are monotone counters).
+        # Every source is read outside _stats_lock: the scope, tracker,
+        # limiter, brownout controller, queue and breaker have locks of
+        # their own, and nesting them would add lock-order edges.
+        counts = Counter(self.metrics.counters())
+        digest = self.health.digest
         health_score = self.health_score()
         is_live = self.live()
         limit = None if self.limiter is None else self.limiter.current_limit()
         brownout_active = False if self.brownout is None else self.brownout.active
         with self._stats_lock:
-            requests = self._requests
-            batches = self._batches
-            out: Dict[str, object] = {
-                "requests": requests,
-                "rows": self._rows,
-                "batches": batches,
-                "mean_batch_requests": requests / batches if batches else 0.0,
-                "mean_latency_seconds": (
-                    self._latency_total / requests if requests else 0.0
-                ),
-                "max_latency_seconds": self._latency_max,
-                "expired": self._expired,
-                "retries": self._retries,
-                "degraded": self._degraded,
-                "failed": self._failed,
-                "max_version_lag": self._max_version_lag,
-                "shed_expired": self._shed_expired,
-                "shed_rejected": self._shed_rejected,
-                "cancelled": self._cancelled,
-                "brownout_shed": self._brownout_shed,
-                "queue_depth": self._queue.depth(),
-                "peak_queue_depth": self._queue.peak_depth(),
-                "queue_bound": (
-                    limit if limit is not None else self.max_queue_depth
-                ),
-                "limit": limit,
-                "health_score": health_score,
-                "live": is_live,
-                "ready": (
-                    is_live and health_score >= self.ready_threshold
-                ),
-                "brownout_active": brownout_active,
-                "breaker": self.breaker.snapshot() if self.breaker else {},
-            }
-        return out
+            rows = self._rows
+            max_version_lag = self._max_version_lag
+        batches = counts["serving.batches"]
+        return {
+            "requests": counts["serving.requests"],
+            "rows": rows,
+            "batches": batches,
+            "mean_batch_requests": (
+                counts["serving.batch_size"] / batches if batches else 0.0
+            ),
+            "mean_latency_seconds": digest.mean,
+            "max_latency_seconds": digest.maximum,
+            "expired": counts["serving.expired"],
+            "retries": counts["serving.retries"],
+            "degraded": counts["serving.degraded"],
+            "failed": counts["serving.failed"],
+            "max_version_lag": max_version_lag,
+            "shed_expired": counts["serving.shed.expired"],
+            "shed_rejected": counts["serving.shed.rejected"],
+            "cancelled": counts["serving.cancelled"],
+            "brownout_shed": counts["serving.brownout.shed"],
+            "queue_depth": self._queue.depth(),
+            "peak_queue_depth": self._queue.peak_depth(),
+            "queue_bound": limit if limit is not None else self.max_queue_depth,
+            "limit": limit,
+            "health_score": health_score,
+            "live": is_live,
+            "ready": is_live and health_score >= self.ready_threshold,
+            "brownout_active": brownout_active,
+            "breaker": self.breaker.snapshot() if self.breaker else {},
+        }

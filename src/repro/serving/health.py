@@ -9,8 +9,8 @@ supplies the four pieces that close that gap (``docs/serving.md`` has
 the operator-facing runbook):
 
 * :class:`LatencyDigest` -- a fixed-bucket, log-spaced latency histogram
-  (stdlib + numpy only; no new deps).  Constant memory, O(buckets)
-  quantile reads, thread-safe.
+  (stdlib + numpy only; no new deps) with an exact running sum and max.
+  Constant memory, O(buckets) quantile reads, thread-safe.
 * :class:`HealthTracker` -- folds the digest's quantiles, a windowed
   error rate, breaker state, and queue depth into one health score in
   ``[0, 1]``; the engine exposes it through liveness/readiness probes.
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from concurrent.futures import CancelledError, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import wait as futures_wait
@@ -79,7 +80,8 @@ class LatencyDigest:
     of the bucket where the cumulative count crosses the rank, a
     conservative (never under-reporting) estimate with bounded relative
     error ``10^(1/buckets_per_decade) - 1`` (~17% at the default 15
-    buckets per decade).
+    buckets per decade).  :attr:`mean` and :attr:`maximum` are exact:
+    the digest also keeps a running sum and max of the raw samples.
     """
 
     def __init__(
@@ -105,6 +107,8 @@ class LatencyDigest:
         self._counts = [0] * (inner + 2)
         self._inner = inner
         self._total = 0
+        self._sum = 0.0
+        self._max = 0.0
         self._lock = named_lock("serving.health.digest")
 
     def _bucket(self, seconds: float) -> int:
@@ -125,15 +129,31 @@ class LatencyDigest:
 
     def observe(self, seconds: float) -> None:
         """Fold one latency sample into the histogram."""
-        index = self._bucket(float(seconds))
+        seconds = float(seconds)
+        index = self._bucket(seconds)
         with self._lock:
             self._counts[index] += 1
             self._total += 1
+            self._sum += seconds
+            if seconds > self._max:
+                self._max = seconds
 
     @property
     def count(self) -> int:
         with self._lock:
             return self._total
+
+    @property
+    def mean(self) -> float:
+        """Exact mean of the observed samples in seconds; 0.0 when empty."""
+        with self._lock:
+            return self._sum / self._total if self._total else 0.0
+
+    @property
+    def maximum(self) -> float:
+        """Largest observed sample in seconds, exact; 0.0 when empty."""
+        with self._lock:
+            return self._max
 
     def quantile(self, q: float) -> Optional[float]:
         """Conservative ``q``-quantile in seconds; ``None`` when empty."""
@@ -183,7 +203,9 @@ class HealthTracker:
     Pure bookkeeping: no metrics, no clock, no threads -- every engine
     carries one tracker whether or not anything reads it, so it must be
     free of side effects on the default path (the chaos suite's bitwise
-    counter signatures depend on that).
+    counter signatures depend on that).  The engine reads its ``stats()``
+    latency mean and max from :attr:`digest`, so engines sharing one
+    tracker share those figures.
     """
 
     def __init__(
@@ -352,8 +374,7 @@ class AIMDLimiter:
         self._sum = 0.0
         self._count = 0
         self._last_decrease: Optional[float] = None
-        self._increases = 0
-        self._decreases = 0
+        self.metrics = metrics.scope()
 
     def current_limit(self) -> int:
         with self._lock:
@@ -374,7 +395,6 @@ class AIMDLimiter:
                 raised = min(self.max_limit, self._limit + self.increase)
                 if raised != self._limit:
                     self._limit = raised
-                    self._increases += 1
                     moved = "increase"
             else:
                 now = self.clock()
@@ -389,23 +409,22 @@ class AIMDLimiter:
                 )
                 if lowered != self._limit:
                     self._limit = lowered
-                    self._decreases += 1
                     moved = "decrease"
                 self._last_decrease = now
         # Metrics fire outside the lock (REP011 discipline) and only when
         # the limit actually moved -- an idle limiter is metrics-silent.
         if moved == "increase":
-            metrics.increment("serving.limit.increases")
+            self.metrics.increment("serving.limit.increases")
         elif moved == "decrease":
-            metrics.increment("serving.limit.decreases")
+            self.metrics.increment("serving.limit.decreases")
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "limit": self._limit,
-                "increases": self._increases,
-                "decreases": self._decreases,
-            }
+        counts = Counter(self.metrics.counters())
+        return {
+            "limit": self.current_limit(),
+            "increases": counts["serving.limit.increases"],
+            "decreases": counts["serving.limit.decreases"],
+        }
 
 
 class BrownoutController:
@@ -420,10 +439,12 @@ class BrownoutController:
       :data:`PRIORITY_HIGH` work is admitted.
 
     :meth:`admit` is a pure function of ``(priority, score)`` except for
-    the transition bookkeeping (``serving.brownout.entered`` /
-    ``exited`` fire when the regime crosses the healthy boundary,
-    ``serving.brownout.shed`` per rejected request) -- all of which only
-    happens once a controller is explicitly wired into an engine.
+    the regime it keeps: ``serving.brownout.entered`` / ``exited`` fire
+    in the controller's own scope (:attr:`metrics`) when the regime
+    crosses the healthy boundary.  A rejected request is counted once,
+    as ``serving.brownout.shed``, by the engine that rejects it: one
+    controller may serve several engines, and each engine's ``stats()``
+    reports its own sheds.
     """
 
     def __init__(self, low_threshold: float = 0.7, normal_threshold: float = 0.4):
@@ -436,9 +457,7 @@ class BrownoutController:
         self.normal_threshold = float(normal_threshold)
         self._lock = named_lock("serving.health.brownout")
         self._active = False
-        self._shed = 0
-        self._entered = 0
-        self._exited = 0
+        self.metrics = metrics.scope()
 
     def min_priority(self, score: float) -> int:
         """Lowest priority admitted at ``score``."""
@@ -454,38 +473,25 @@ class BrownoutController:
             return self._active
 
     def admit(self, priority: int, score: float) -> bool:
-        """Admission decision for one request; updates transition state."""
+        """Admission decision for one request; updates the regime."""
         floor = self.min_priority(score)
         browned_out = floor > PRIORITY_LOW
-        admitted = priority >= floor
-        transition: Optional[str] = None
         with self._lock:
-            if browned_out and not self._active:
-                self._active = True
-                self._entered += 1
-                transition = "entered"
-            elif not browned_out and self._active:
-                self._active = False
-                self._exited += 1
-                transition = "exited"
-            if not admitted:
-                self._shed += 1
-        if transition == "entered":
-            metrics.increment("serving.brownout.entered")
-        elif transition == "exited":
-            metrics.increment("serving.brownout.exited")
-        if not admitted:
-            metrics.increment("serving.brownout.shed")
-        return admitted
+            changed = browned_out != self._active
+            self._active = browned_out
+        if changed and browned_out:
+            self.metrics.increment("serving.brownout.entered")
+        elif changed:
+            self.metrics.increment("serving.brownout.exited")
+        return priority >= floor
 
     def stats(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "active": self._active,
-                "shed": self._shed,
-                "entered": self._entered,
-                "exited": self._exited,
-            }
+        counts = Counter(self.metrics.counters())
+        return {
+            "active": self.active,
+            "entered": counts["serving.brownout.entered"],
+            "exited": counts["serving.brownout.exited"],
+        }
 
 
 @dataclass(frozen=True)
@@ -537,7 +543,7 @@ class HedgePolicy:
 
 
 class _HedgeCoordinator:
-    """Router-side hedge state: shared digest, token budget, counters.
+    """Router-side hedge state: shared digest, token budget, metrics scope.
 
     One per :class:`ShardRouter` (when hedging is enabled); every
     :class:`HedgedFuture` the router hands out reports its outcome here,
@@ -554,11 +560,7 @@ class _HedgeCoordinator:
         self.digest = LatencyDigest()
         self._lock = named_lock("serving.health.hedge")
         self._tokens = float(policy.burst)
-        self._attempts = 0
-        self._wins = 0
-        self._primary_wins = 0
-        self._budget_denied = 0
-        self._cancelled = 0
+        self.metrics = metrics.scope()
 
     def note_request(self) -> None:
         """Accrue budget for one submitted (primary) request."""
@@ -571,14 +573,11 @@ class _HedgeCoordinator:
     def try_acquire(self) -> bool:
         """Spend one hedge token; False (and counted) when broke."""
         with self._lock:
-            if self._tokens >= 1.0:
+            acquired = self._tokens >= 1.0
+            if acquired:
                 self._tokens -= 1.0
-                acquired = True
-            else:
-                self._budget_denied += 1
-                acquired = False
         if not acquired:
-            metrics.increment("serving.hedge.budget_denied")
+            self.metrics.increment("serving.hedge.budget_denied")
         return acquired
 
     def refund(self) -> None:
@@ -588,9 +587,7 @@ class _HedgeCoordinator:
 
     def record_attempt(self) -> None:
         """Count one backup actually dispatched to a replica."""
-        with self._lock:
-            self._attempts += 1
-        metrics.increment("serving.hedge.attempts")
+        self.metrics.increment("serving.hedge.attempts")
 
     def delay(self) -> float:
         """Current hedge delay in seconds (adaptive quantile, clamped)."""
@@ -608,29 +605,18 @@ class _HedgeCoordinator:
         self.digest.observe(latency_seconds)
 
     def record_winner(self, backup_won: bool, loser_cancelled: bool) -> None:
-        with self._lock:
-            if backup_won:
-                self._wins += 1
-            else:
-                self._primary_wins += 1
-            if loser_cancelled:
-                self._cancelled += 1
-        metrics.increment(
+        self.metrics.increment(
             "serving.hedge.wins" if backup_won else "serving.hedge.primary_wins"
         )
         if loser_cancelled:
-            metrics.increment("serving.hedge.cancelled")
+            self.metrics.increment("serving.hedge.cancelled")
 
     def stats(self) -> Dict[str, object]:
+        counts = Counter(self.metrics.counters())
+        keys = ("attempts", "wins", "primary_wins", "budget_denied", "cancelled")
+        out: Dict[str, object] = {key: counts[f"serving.hedge.{key}"] for key in keys}
         with self._lock:
-            out: Dict[str, object] = {
-                "attempts": self._attempts,
-                "wins": self._wins,
-                "primary_wins": self._primary_wins,
-                "budget_denied": self._budget_denied,
-                "cancelled": self._cancelled,
-                "tokens": self._tokens,
-            }
+            out["tokens"] = self._tokens
         out["delay_seconds"] = self.delay()  # digest lock; outside ours
         return out
 

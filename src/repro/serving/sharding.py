@@ -35,7 +35,9 @@ Metrics (all integer counters in :mod:`repro.runtime.metrics`):
 ``serving.shard.publishes`` / ``routed`` / ``failover_routes`` /
 ``failovers`` / ``rebalanced_keys`` / ``replica_applied`` /
 ``replica_skipped`` / ``replica_corrupt`` / ``backfills`` /
-``rerouted``.  See the metrics table in ``docs/serving.md``.
+``rerouted``.  See the metrics table in ``docs/serving.md``.  The router
+and each shard's engine count through their own scopes of the global
+registry; followers count in the global registry only.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import bisect
 import hashlib
 import threading
 from ..locks import named_lock
+from collections import Counter
 from concurrent.futures import Future
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -292,9 +295,8 @@ class ShardRouter:
         self.virtual_nodes = int(virtual_nodes)
         self._lock = named_lock("serving.shard.router")
         self._names: Dict[str, None] = {}  # insertion-ordered set of names
-        self._failovers = 0
-        self._rebalanced_keys = 0
-        self._restarts = 0
+        #: Router-level counts; each also lands in the global registry.
+        self.metrics = metrics.scope()
 
         ring: List[Tuple[int, int]] = []
         for shard_id in range(self.num_shards):
@@ -390,7 +392,7 @@ class ShardRouter:
             shard = self._shards[shard_id]
             if shard.alive:
                 if position > 0:
-                    metrics.increment("serving.shard.failover_routes")
+                    self.metrics.increment("serving.shard.failover_routes")
                 return shard
         raise ShardDeadError(f"every shard holding {name!r} is dead")
 
@@ -442,11 +444,9 @@ class ShardRouter:
                 if route == shard_id:
                     rebalanced += 1
             shard.alive = False
-            self._failovers += 1
-            self._rebalanced_keys += rebalanced
         shard.engine.stop()
-        metrics.increment("serving.shard.failovers")
-        metrics.increment("serving.shard.rebalanced_keys", rebalanced)
+        self.metrics.increment("serving.shard.failovers")
+        self.metrics.increment("serving.shard.rebalanced_keys", rebalanced)
         return rebalanced
 
     def restart_shard(
@@ -469,8 +469,9 @@ class ShardRouter:
         engine stops, before the replacement is built) so tests can push
         live traffic through the degraded ring.  Returns the number of
         versions the replacement restored.  Counts
-        ``serving.shard.restarts`` / ``serving.shard.restart_restored``.
-        Restarting a dead shard revives it.
+        ``serving.shard.restarts`` per attempt (before ``drive`` runs) and
+        ``serving.shard.restart_restored``.  Restarting a dead shard
+        revives it.
         """
         shard = self._shards[shard_id]
         with self._lock:
@@ -478,7 +479,7 @@ class ShardRouter:
             shard.alive = False
         if was_alive:
             shard.engine.stop()
-        metrics.increment("serving.shard.restarts")
+        self.metrics.increment("serving.shard.restarts")
         if drive is not None:
             drive(shard_id)
         replacement = self._build_shard(shard_id)
@@ -490,9 +491,7 @@ class ShardRouter:
         # contract every lock-free ``_shards`` read in this class relies
         # on.
         self._shards[shard_id] = replacement
-        with self._lock:
-            self._restarts += 1
-        metrics.increment("serving.shard.restart_restored", restored)
+        self.metrics.increment("serving.shard.restart_restored", restored)
         return restored
 
     def rolling_restart(
@@ -536,7 +535,7 @@ class ShardRouter:
         record = shard.registry.publish(name, model, key=key)
         with self._lock:
             self._names[name] = None
-        metrics.increment("serving.shard.publishes")
+        self.metrics.increment("serving.shard.publishes")
         for shard_id in self._live_replicas(name):
             if shard_id != shard.shard_id:
                 self._shards[shard_id].follower.poll()
@@ -591,14 +590,14 @@ class ShardRouter:
     ) -> Tuple[_Shard, Future]:
         """Route + submit, returning the serving shard with the future."""
         shard = self._route(name)
-        metrics.increment("serving.shard.routed")
+        self.metrics.increment("serving.shard.routed")
         self._ensure_holds(shard, name)
         try:
             return shard, shard.engine.submit(name, x, **kwargs)
         except EngineStoppedError:
             # The shard died between routing and submission; route again
             # (the dead shard is now marked, so this terminates).
-            metrics.increment("serving.shard.rerouted")
+            self.metrics.increment("serving.shard.rerouted")
             shard = self._route(name)
             self._ensure_holds(shard, name)
             return shard, shard.engine.submit(name, x, **kwargs)
@@ -635,7 +634,7 @@ class ShardRouter:
         shard.follower.poll()
         if name not in shard.registry:
             raise KeyError(f"no model published under {name!r}")
-        metrics.increment("serving.shard.backfills")
+        self.metrics.increment("serving.shard.backfills")
 
     def predict(
         self, name: str, x: np.ndarray, timeout: Optional[float] = 30.0
@@ -719,19 +718,23 @@ class ShardRouter:
         return {name: self.replicas(name) for name in names}
 
     def stats(self) -> Dict[str, object]:
-        """Router-level counters plus one stats snapshot per live shard."""
+        """Router-level counts plus one stats snapshot per live shard.
+
+        ``failovers``, ``rebalanced_keys`` and ``restarts`` (restart
+        attempts) come from the router's scope (:attr:`metrics`).  The
+        router counts and each shard's snapshot are read separately, so
+        under live traffic they may be a few events apart.
+        """
+        counts = Counter(self.metrics.counters())
         with self._lock:
-            failovers = self._failovers
-            rebalanced = self._rebalanced_keys
-            restarts = self._restarts
             num_names = len(self._names)
         out: Dict[str, object] = {
             "num_shards": self.num_shards,
             "replication_factor": self.replication_factor,
             "alive_shards": self.alive_shards(),
-            "failovers": failovers,
-            "rebalanced_keys": rebalanced,
-            "restarts": restarts,
+            "failovers": counts["serving.shard.failovers"],
+            "rebalanced_keys": counts["serving.shard.rebalanced_keys"],
+            "restarts": counts["serving.shard.restarts"],
             "names": num_names,
             "hedge": self.hedge_stats(),
             "shards": {

@@ -199,3 +199,37 @@ class TestUndeclaredMetricRule:
             """
         )
         assert len(violations) == 1
+
+    def test_aliased_module_registry_checked(self):
+        violations = lint(
+            """
+            from repro.runtime.metrics import metrics as runtime_metrics
+
+            def f():
+                runtime_metrics.increment("montecarlo.not_a_counter")
+                with runtime_metrics.timer("not.a.timer"):
+                    pass
+            """
+        )
+        assert len(violations) == 2
+
+    def test_private_attribute_registry_checked(self):
+        violations = lint(
+            """
+            class Component:
+                def f(self):
+                    self._metrics.increment("serving.not_a_real_counter")
+                    self.metrics.increment("serving.requests")
+            """
+        )
+        assert len(violations) == 1
+        assert "serving.not_a_real_counter" in violations[0].message
+
+    def test_registry_factory_call_checked(self):
+        violations = lint(
+            """
+            def f(owner):
+                owner.shard_metrics().increment("serving.not_a_real_counter")
+            """
+        )
+        assert len(violations) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.basis import OrthonormalBasis
+from repro.locks import watch_locks
 from repro.runtime import (
     DesignMatrixCache,
     MetricsRegistry,
@@ -70,6 +71,60 @@ class TestMetricsRegistry:
         text = format_snapshot({"x.seconds": 0.5, "y": 3})
         assert "x.seconds" in text and "0.5000" in text and "3" in text
         assert format_snapshot({}).endswith("(none)")
+
+
+class TestMetricsScope:
+    def test_increments_land_in_child_and_parent(self):
+        parent = MetricsRegistry()
+        child = parent.scope()
+        child.increment("a", 3)
+        parent.increment("a")
+        assert child.counters() == {"a": 3}
+        assert parent.counters() == {"a": 4}
+
+    def test_timers_land_in_both_with_one_elapsed(self):
+        parent = MetricsRegistry()
+        child = parent.scope()
+        with child.timer("t"):
+            pass
+        assert child.timer_stat("t").calls == 1
+        assert parent.timer_stat("t") == child.timer_stat("t")
+
+    def test_nested_scopes_roll_up_to_the_root(self):
+        root = MetricsRegistry()
+        middle = root.scope()
+        leaf = middle.scope()
+        leaf.increment("a")
+        middle.increment("a", 2)
+        assert (root.count("a"), middle.count("a"), leaf.count("a")) == (3, 3, 1)
+
+    def test_siblings_see_only_their_own_counts(self):
+        parent = MetricsRegistry()
+        first, second = parent.scope(), parent.scope()
+        first.increment("x", 2)
+        assert second.counters() == {}
+        assert parent.count("x") == 2
+
+    def test_reset_clears_only_that_registry(self):
+        parent = MetricsRegistry()
+        child = parent.scope()
+        child.increment("a")
+        child.reset()
+        assert parent.count("a") == 1
+        child.increment("a")
+        parent.reset()
+        assert child.count("a") == 1
+
+    def test_child_releases_its_lock_before_calling_the_parent(self):
+        with watch_locks() as watchdog:
+            parent = MetricsRegistry()
+            child = parent.scope()
+            child.increment("a")
+            with child.timer("t"):
+                pass
+        report = watchdog.report()
+        assert set(report["locks"]) == {"runtime.metrics", "runtime.metrics.scope"}
+        assert report["edges"] == []
 
 
 class TestFingerprint:

@@ -148,6 +148,33 @@ class TestConditioningFallback:
         sequential.add_samples(healthy, 1.0 + healthy @ np.array([0.5, -0.3]))
         assert sequential.last_refit_mode == "incremental"
 
+    def test_empty_batch_checks_no_earlier_row(self):
+        # The guard scans only the appended diagonal entries: an empty batch
+        # appends none, so the origin row accepted earlier cannot trigger a
+        # rebuild of every kernel.
+        rng = np.random.default_rng(99)
+        basis = OrthonormalBasis.total_degree(2, 1)
+        prior = GaussianCoefficientPrior(
+            np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0]), name="pinned"
+        )
+        sequential = SequentialBmf(basis, priors=[prior])
+        x = rng.normal(size=(8, 2))
+        sequential.add_samples(
+            x, 1.0 + x @ np.array([0.5, -0.3]) + 0.01 * rng.normal(size=8)
+        )
+        sequential.add_samples(np.zeros((1, 2)), np.array([1.0]))
+        healthy = rng.normal(size=(1, 2))
+        sequential.add_samples(healthy, 1.0 + healthy @ np.array([0.5, -0.3]))
+        assert sequential.last_refit_mode == "incremental"
+        before = runtime_metrics.counters("woodbury.")
+        sequential.add_samples(np.zeros((0, 2)), np.zeros(0))
+        after = runtime_metrics.counters("woodbury.")
+        assert sequential.last_refit_mode == "incremental"
+        assert after.get("woodbury.fallbacks", 0) == before.get(
+            "woodbury.fallbacks", 0
+        )
+        assert sequential.num_samples == 10
+
 
 class TestFrozenConfig:
     def test_constructor_arrays_are_snapshotted(self, stream):

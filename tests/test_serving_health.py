@@ -286,7 +286,6 @@ class TestBrownoutController:
         stats = controller.stats()
         assert stats["entered"] == 1
         assert stats["exited"] == 1
-        assert stats["shed"] == 2
 
 
 class TestEngineHealthProbes:

@@ -23,6 +23,7 @@ from repro.bmf import (
     zero_mean_prior,
 )
 from repro.bmf import map_estimation
+from repro.bmf.evidence import log_evidence, select_prior_and_eta_by_evidence
 
 
 @pytest.fixture
@@ -189,3 +190,44 @@ class TestWinnerSolveIsMapEstimate:
             design, f, regressor.chosen_prior_, regressor.chosen_eta_
         )
         assert np.array_equal(regressor.coefficients_, expected)
+
+
+class TestEvidenceDecomposesEachKernelOnce:
+    """Evidence selection eigendecomposes each distinct kernel once; the
+    two BMF-PS priors share one kernel, so one ``eigh`` serves both."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_bmf_ps_evidence_fit_runs_one_eigh(self, small_k, eigh_calls):
+        basis, early, _missing, x, f = small_k
+        BmfRegressor(basis, early, selection="evidence").fit(x, f)
+        assert eigh_calls == [(len(x), len(x))]
+
+    def test_priors_of_two_scales_run_two(self, small_k, eigh_calls):
+        basis, early, _missing, x, f = small_k
+        design = basis.design_matrix(x)
+        priors = [zero_mean_prior(early), nonzero_mean_prior(3.0 * early)]
+        select_prior_and_eta_by_evidence(design, f, priors)
+        assert len(eigh_calls) == 2
+
+    def test_curves_equal_log_evidence_per_solver(self, small_k):
+        basis, early, _missing, x, f = small_k
+        design = basis.design_matrix(x)
+        priors = [zero_mean_prior(early), nonzero_mean_prior(early)]
+        report = select_prior_and_eta_by_evidence(design, f, priors)
+        for solver in KernelMapSolver.for_priors(design, f, priors):
+            name = solver.prior.name
+            grid = report.per_prior_grids[name]
+            assert np.array_equal(
+                report.per_prior_log_evidence[name], log_evidence(solver, grid)
+            )
