@@ -63,6 +63,7 @@ class OrthonormalBasis:
             (deg for idx in self.indices for _, deg in idx), default=0
         )
         self._cache_token: Optional[str] = None
+        self._index_array: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -124,6 +125,23 @@ class OrthonormalBasis:
             token = hashlib.blake2b(payload, digest_size=16).hexdigest()
             self._cache_token = token
         return token
+
+    def index_array(self) -> np.ndarray:
+        """The multi-index set as one read-only int64 array, shape ``(M, L, 2)``.
+
+        Row ``m`` lists basis function ``m``'s ``(variable, degree)`` pairs,
+        padded with ``(0, 0)`` up to ``L``, the most pairs any function
+        has (degrees are >= 1, so a zero degree marks padding).  This is
+        the form :mod:`repro.store` persists; it is built once per basis.
+        """
+        array = self._index_array
+        if array is None:
+            width = max((len(idx) for idx in self.indices), default=0)
+            padded = [idx + ((0, 0),) * (width - len(idx)) for idx in self.indices]
+            array = np.array(padded, dtype=np.int64).reshape(self.size, width, 2)
+            array.flags.writeable = False
+            self._index_array = array
+        return array
 
     # ------------------------------------------------------------------
     # Evaluation

@@ -282,7 +282,8 @@ def run_load(config: LoadConfig, store_root) -> LoadReport:
     }
     if config.brownout:
         # One controller shared by every shard: the harness wants fleet-wide
-        # shed counts, and admit() takes the per-engine score per call.
+        # shed counts, and admit() takes each engine's score and keeps each
+        # engine's regime.
         engine_kwargs["brownout"] = BrownoutController()
 
     router = ShardRouter(

@@ -311,7 +311,8 @@ class PredictionEngine:
         Optional :class:`~repro.serving.health.BrownoutController`.
         When set, every :meth:`submit` is gated on the request's
         ``priority`` against the live health score; shed requests raise
-        :class:`BrownoutShedError` at the submission site.
+        :class:`BrownoutShedError` at the submission site.  One
+        controller may serve several engines; it keeps each one's regime.
     ready_threshold:
         Health-score floor for the :meth:`ready` probe (liveness is
         separate; see :meth:`live`).
@@ -598,7 +599,7 @@ class PredictionEngine:
         if not self.running:
             raise EngineStoppedError("PredictionEngine is not running")
         if self.brownout is not None and not self.brownout.admit(
-            priority, self.health_score()
+            priority, self.health_score(), self
         ):
             self.metrics.increment("serving.brownout.shed")
             raise BrownoutShedError(
@@ -946,7 +947,9 @@ class PredictionEngine:
         health_score = self.health_score()
         is_live = self.live()
         limit = None if self.limiter is None else self.limiter.current_limit()
-        brownout_active = False if self.brownout is None else self.brownout.active
+        brownout_active = (
+            False if self.brownout is None else self.brownout.active_for(self)
+        )
         with self._stats_lock:
             rows = self._rows
             max_version_lag = self._max_version_lag

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from collections import Counter
 from concurrent.futures import CancelledError, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -439,12 +440,14 @@ class BrownoutController:
       :data:`PRIORITY_HIGH` work is admitted.
 
     :meth:`admit` is a pure function of ``(priority, score)`` except for
-    the regime it keeps: ``serving.brownout.entered`` / ``exited`` fire
-    in the controller's own scope (:attr:`metrics`) when the regime
-    crosses the healthy boundary.  A rejected request is counted once,
-    as ``serving.brownout.shed``, by the engine that rejects it: one
-    controller may serve several engines, and each engine's ``stats()``
-    reports its own sheds.
+    the regime it keeps per caller: one controller may serve several
+    engines, each passing itself as ``caller``, and each engine's regime
+    is its own.  ``serving.brownout.entered`` / ``exited`` fire in the
+    controller's own scope (:attr:`metrics`) when a caller's regime
+    crosses the healthy boundary, and :attr:`active` is true while any
+    caller is browned out.  A rejected request is counted once, as
+    ``serving.brownout.shed``, by the engine that rejects it, and each
+    engine's ``stats()`` reports its own sheds and regime.
     """
 
     def __init__(self, low_threshold: float = 0.7, normal_threshold: float = 0.4):
@@ -456,7 +459,8 @@ class BrownoutController:
         self.low_threshold = float(low_threshold)
         self.normal_threshold = float(normal_threshold)
         self._lock = named_lock("serving.health.brownout")
-        self._active = False
+        # Callers currently browned out; weak, so a dropped engine leaves.
+        self._browned_out: weakref.WeakSet = weakref.WeakSet()
         self.metrics = metrics.scope()
 
     def min_priority(self, score: float) -> int:
@@ -469,16 +473,31 @@ class BrownoutController:
 
     @property
     def active(self) -> bool:
+        """True while any caller of this controller is browned out."""
         with self._lock:
-            return self._active
+            return len(self._browned_out) > 0
 
-    def admit(self, priority: int, score: float) -> bool:
-        """Admission decision for one request; updates the regime."""
+    def active_for(self, caller: object) -> bool:
+        """True while ``caller`` (as passed to :meth:`admit`) is browned out."""
+        with self._lock:
+            return caller in self._browned_out
+
+    def admit(self, priority: int, score: float, caller: object = None) -> bool:
+        """Admission decision for one request; updates ``caller``'s regime.
+
+        ``caller`` defaults to the controller itself, for a controller
+        that serves one caller.
+        """
         floor = self.min_priority(score)
         browned_out = floor > PRIORITY_LOW
+        if caller is None:
+            caller = self
         with self._lock:
-            changed = browned_out != self._active
-            self._active = browned_out
+            changed = browned_out != (caller in self._browned_out)
+            if browned_out:
+                self._browned_out.add(caller)
+            else:
+                self._browned_out.discard(caller)
         if changed and browned_out:
             self.metrics.increment("serving.brownout.entered")
         elif changed:

@@ -91,8 +91,9 @@ class JournalFollower:
     preference predicate); entries the registry already holds -- for
     example on the primary shard, which published them directly -- are
     skipped idempotently (``serving.shard.replica_skipped``).  A record
-    that fails its CRC is counted (``serving.shard.replica_corrupt``) and
-    skipped; quarantining is left to the store's owner-side recovery.
+    that fails its CRC, or whose basis structure does not hash to its
+    digest, is counted (``serving.shard.replica_corrupt``) and skipped;
+    quarantining is left to the store's owner-side recovery.
 
     Offsets are *global* journal offsets (see
     :meth:`~repro.store.ModelStore.journal_view`), so they stay
@@ -203,13 +204,11 @@ class JournalFollower:
         path = self.store.records_dir / entry.filename
         try:
             record = self.store.read(path)
+            with self._lock:
+                basis = record.basis(self._bases)
         except CorruptRecordError:
             metrics.increment("serving.shard.replica_corrupt")
             return False
-        with self._lock:
-            basis = self._bases.get(record.basis_digest)
-            if basis is None:
-                basis = self._bases[record.basis_digest] = record.basis()
         model = FittedModel(basis, record.coefficients)
         self.registry.restore(
             record.name, record.version, record.key, record.published_at, model

@@ -45,14 +45,13 @@ from __future__ import annotations
 
 import os
 import shutil
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..faults import SimulatedCrash, failpoint
 from ..runtime.metrics import metrics
-from .format import CorruptRecordError
+from .format import CorruptRecordError, record_crc
 from .store import (
     GENERATION_PREFIX,
     JournalCheckpoint,
@@ -285,7 +284,7 @@ class _SurvivorSet:
             handle.flush()
             if self.store.use_fsync:
                 os.fsync(handle.fileno())
-        candidate.record_crc = zlib.crc32(blob[8:]) & 0xFFFFFFFF
+        candidate.record_crc = record_crc(blob)
         self.copied[candidate.filename] = candidate
 
     def snapshot(self) -> Tuple[JournalEntry, ...]:

@@ -7,7 +7,7 @@ record is a single self-describing blob::
 
     offset 0   magic      b"RBMF"
     offset 4   crc32      (uint32 LE) of every byte from offset 8 onward
-    offset 8   version    (uint32 LE) format version, currently 1
+    offset 8   version    (uint32 LE) format version, currently 2
     offset 12  header_len (uint32 LE) byte length of the JSON header
     offset 16  header     canonical JSON (sorted keys, no whitespace)
     ...        arrays     raw C-order buffers, concatenated in header order
@@ -18,6 +18,12 @@ covered region changes the computed CRC, a flip in the stored CRC breaks
 the comparison, and a flip in the magic fails the signature check.  The
 property suite (``tests/test_store_properties.py``) asserts exactly this
 over every byte offset.
+
+Version 2 carries the basis multi-index set as one int array in the
+payload (:meth:`repro.basis.OrthonormalBasis.index_array`), so the
+header holds only scalars and array descriptors and its size does not
+grow with the number of basis functions.  There is no version 1 reader:
+a version 1 blob fails as ``unsupported format version 1``.
 
 Arrays round-trip *bitwise*: dtype (including byte order), shape, and the
 raw buffer are preserved, so NaN payloads, negative zeros, and subnormals
@@ -32,9 +38,12 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from ..basis import OrthonormalBasis
 
 __all__ = [
     "CorruptRecordError",
@@ -47,7 +56,7 @@ __all__ = [
 ]
 
 MAGIC = b"RBMF"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Fixed-size prefix: magic, crc32, format version, header length.
 _PREFIX = struct.Struct("<4sIII")
@@ -75,6 +84,9 @@ class ModelRecord:
     version, key, model, timestamp) plus the basis *structure* -- the digest
     alone identifies a basis but cannot rebuild one, and a recovered
     registry must evaluate predictions, not just compare keys.  The
+    structure is ``basis_index_array``, the ``(M, L, 2)`` int array of
+    :meth:`repro.basis.OrthonormalBasis.index_array`; :meth:`basis`
+    rebuilds the basis from it and checks it against ``basis_digest``.  The
     optional fields capture the fitter context: the prior configuration and
     hyper-parameter that produced the coefficients, and -- for sequential
     (streaming) fits -- the accumulated samples and the dual Cholesky
@@ -88,7 +100,7 @@ class ModelRecord:
     published_at: float
     basis_digest: str
     basis_num_vars: int
-    basis_indices: Tuple[Tuple[Tuple[int, int], ...], ...]
+    basis_index_array: np.ndarray
     coefficients: np.ndarray
     prior_name: Optional[str] = None
     prior_mean: Optional[np.ndarray] = None
@@ -101,6 +113,7 @@ class ModelRecord:
 
     #: Field names serialized as raw array buffers (order = payload order).
     ARRAY_FIELDS = (
+        "basis_index_array",
         "coefficients",
         "prior_mean",
         "prior_scale",
@@ -116,24 +129,56 @@ class ModelRecord:
             raise ValueError(f"version must be >= 1, got {self.version}")
         if self.coefficients is None:
             raise ValueError("record must carry a coefficient array")
-        object.__setattr__(
-            self,
-            "basis_indices",
-            tuple(
-                tuple((int(v), int(d)) for v, d in index)
-                for index in self.basis_indices
-            ),
-        )
+        indices = self.basis_index_array
+        if (
+            not isinstance(indices, np.ndarray)
+            or indices.dtype.kind not in "iu"
+            or indices.ndim != 3
+            or indices.shape[2] != 2
+        ):
+            raise ValueError(
+                "basis_index_array must be an int array of shape (M, L, 2)"
+            )
         for field_name in self.ARRAY_FIELDS:
             object.__setattr__(
                 self, field_name, _frozen_array(getattr(self, field_name))
             )
 
-    def basis(self):
-        """Rebuild the :class:`~repro.basis.OrthonormalBasis` structure."""
+    def basis(
+        self, known: Optional[Dict[str, "OrthonormalBasis"]] = None
+    ) -> "OrthonormalBasis":
+        """Rebuild the :class:`~repro.basis.OrthonormalBasis` structure.
+
+        Raises :class:`CorruptRecordError` when the stored structure is
+        not a valid index set or does not hash to ``basis_digest``.
+        ``known`` maps digests to bases already rebuilt: a digest found
+        there is returned as is, and a fresh rebuild is added to it, so
+        every version published on one basis shares one basis object.
+        """
+        if known is not None:
+            basis = known.get(self.basis_digest)
+            if basis is not None:
+                return basis
         from ..basis import OrthonormalBasis
 
-        return OrthonormalBasis(self.basis_num_vars, list(self.basis_indices))
+        array = self.basis_index_array
+        widths = np.count_nonzero(array[:, :, 1], axis=1).tolist()
+        indices = [
+            tuple(map(tuple, row[:width]))
+            for row, width in zip(array.tolist(), widths)
+        ]
+        try:
+            basis = OrthonormalBasis(self.basis_num_vars, indices)
+        except ValueError as exc:
+            raise CorruptRecordError(f"invalid basis structure: {exc}") from exc
+        if basis.cache_token() != self.basis_digest:
+            raise CorruptRecordError(
+                f"basis structure hashes to {basis.cache_token()}, "
+                f"not the recorded digest {self.basis_digest}"
+            )
+        if known is not None:
+            known[self.basis_digest] = basis
+        return basis
 
     def prior(self):
         """Rebuild the prior config, or ``None`` when none was recorded."""
@@ -166,26 +211,30 @@ class ModelRecord:
 
 def _array_descriptors(
     record: ModelRecord,
-) -> Tuple[List[Dict[str, Any]], List[bytes]]:
+) -> Tuple[List[Dict[str, Any]], List[np.ndarray]]:
+    """Payload descriptors plus the arrays whose buffers form the payload.
+
+    A record's arrays are frozen C-contiguous copies, so each one's buffer
+    is exactly its payload bytes and is written without another copy.
+    """
     descriptors: List[Dict[str, Any]] = []
-    buffers: List[bytes] = []
+    buffers: List[np.ndarray] = []
     offset = 0
     for field_name in ModelRecord.ARRAY_FIELDS:
         value = getattr(record, field_name)
         if value is None:
             continue
-        blob = value.tobytes(order="C")
         descriptors.append(
             {
                 "name": field_name,
                 "dtype": value.dtype.str,
                 "shape": list(value.shape),
                 "offset": offset,
-                "nbytes": len(blob),
+                "nbytes": value.nbytes,
             }
         )
-        buffers.append(blob)
-        offset += len(blob)
+        buffers.append(value)
+        offset += value.nbytes
     return descriptors, buffers
 
 
@@ -202,9 +251,6 @@ def encode_record(record: ModelRecord) -> bytes:
             "published_at": record.published_at,
             "basis_digest": record.basis_digest,
             "basis_num_vars": record.basis_num_vars,
-            "basis_indices": [
-                [[v, d] for v, d in index] for index in record.basis_indices
-            ],
             "prior_name": record.prior_name,
             "eta": record.eta,
             "chol_prior_index": record.chol_prior_index,
@@ -214,15 +260,15 @@ def encode_record(record: ModelRecord) -> bytes:
     header_bytes = json.dumps(
         header, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    body = b"".join(
-        [
-            struct.pack("<II", FORMAT_VERSION, len(header_bytes)),
-            header_bytes,
-            *buffers,
-        ]
-    )
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return MAGIC + struct.pack("<I", crc) + body
+    covered = [
+        struct.pack("<II", FORMAT_VERSION, len(header_bytes)),
+        header_bytes,
+        *buffers,
+    ]
+    crc = 0
+    for part in covered:
+        crc = zlib.crc32(part, crc)
+    return b"".join([MAGIC, struct.pack("<I", crc & 0xFFFFFFFF), *covered])
 
 
 def record_crc(blob: bytes) -> int:
@@ -239,7 +285,9 @@ def decode_record(blob: bytes) -> ModelRecord:
 
     Raises :class:`CorruptRecordError` for *any* structural damage: wrong
     magic, truncation, trailing garbage, checksum mismatch, or a header
-    that does not describe the payload it sits on.
+    that does not describe the payload it sits on.  The checksum and the
+    array slices read the payload through a ``memoryview``, without
+    copying it; the record then holds its own frozen copy of each array.
     """
     if len(blob) < _PREFIX.size:
         raise CorruptRecordError(
@@ -248,7 +296,8 @@ def decode_record(blob: bytes) -> ModelRecord:
     magic, stored_crc, version, header_len = _PREFIX.unpack_from(blob, 0)
     if magic != MAGIC:
         raise CorruptRecordError(f"bad magic {magic!r} (expected {MAGIC!r})")
-    actual_crc = zlib.crc32(blob[8:]) & 0xFFFFFFFF
+    view = memoryview(blob)
+    actual_crc = zlib.crc32(view[8:]) & 0xFFFFFFFF
     if actual_crc != stored_crc:
         raise CorruptRecordError(
             f"checksum mismatch: stored {stored_crc:#010x}, "
@@ -267,7 +316,7 @@ def decode_record(blob: bytes) -> ModelRecord:
     if not isinstance(header, dict) or "record" not in header:
         raise CorruptRecordError("header is not a record envelope")
 
-    payload = blob[payload_start:]
+    payload = view[payload_start:]
     arrays: Dict[str, np.ndarray] = {}
     expected_end = 0
     for descriptor in header.get("arrays", ()):
@@ -310,10 +359,7 @@ def decode_record(blob: bytes) -> ModelRecord:
             published_at=float(meta["published_at"]),
             basis_digest=meta["basis_digest"],
             basis_num_vars=int(meta["basis_num_vars"]),
-            basis_indices=tuple(
-                tuple((int(v), int(d)) for v, d in index)
-                for index in meta["basis_indices"]
-            ),
+            basis_index_array=arrays.get("basis_index_array"),
             coefficients=arrays.get("coefficients"),
             prior_name=meta.get("prior_name"),
             prior_mean=arrays.get("prior_mean"),

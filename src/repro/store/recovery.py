@@ -12,7 +12,9 @@ back into a live :class:`~repro.serving.ModelRegistry`:
    order with their original version numbers, keys, and timestamps via
    :meth:`~repro.serving.ModelRegistry.restore`, so the rebuilt registry
    is *bitwise identical* (per :meth:`~repro.serving.ModelRegistry.snapshot`)
-   to the pre-crash registry over the records that reached disk;
+   to the pre-crash registry over the records that reached disk; every
+   version recorded on one basis digest shares one rebuilt basis
+   (:meth:`~repro.store.ModelRecord.basis`);
 3. **re-arm** -- the newest record of a name that carries sequential
    fitter state (samples + dual Cholesky factor) can warm-restart a
    fresh :class:`~repro.bmf.SequentialBmf` through
@@ -51,6 +53,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
+from ..basis import OrthonormalBasis
 from ..bmf.sequential import SequentialFitterState
 from ..regression.base import FittedModel
 from ..runtime.metrics import metrics
@@ -70,7 +73,8 @@ class RecoveryReport:
     #: ``(name, version)`` of every record re-admitted, in restore order.
     restored: Tuple[Tuple[str, int], ...]
     #: ``(name, version, reason)`` for CRC-valid records the registry
-    #: refused (e.g. non-finite coefficients); quarantined, never served.
+    #: refused (e.g. non-finite coefficients) or whose basis structure
+    #: does not hash to their digest; quarantined, never served.
     rejected: Tuple[Tuple[str, int, str], ...]
     #: Final quarantine paths of corrupt, torn, or rejected records.
     quarantined: Tuple[Path, ...]
@@ -141,9 +145,10 @@ class RecoveryManager:
         rejected = []
         quarantined = list(scan.quarantined)
         latest: Dict[str, ModelRecord] = {}
+        bases: Dict[str, OrthonormalBasis] = {}
         for record in scan.records:
-            model = FittedModel(record.basis(), record.coefficients)
             try:
+                model = FittedModel(record.basis(bases), record.coefficients)
                 registry.restore(
                     record.name,
                     record.version,
@@ -151,7 +156,7 @@ class RecoveryManager:
                     record.published_at,
                     model,
                 )
-            except PublishRejectedError as exc:
+            except (CorruptRecordError, PublishRejectedError) as exc:
                 rejected.append((record.name, record.version, str(exc)))
                 if quarantine_corrupt:
                     path = self.store.records_dir / self.store.record_filename(
@@ -217,6 +222,7 @@ class RecoveryManager:
         rejected = []
         missing = []
         latest: Dict[str, ModelRecord] = {}
+        bases: Dict[str, OrthonormalBasis] = {}
         for entry in replay:
             path = self.store.records_dir / entry.filename
             try:
@@ -227,8 +233,8 @@ class RecoveryManager:
                 else:
                     missing.append(entry)
                 continue
-            model = FittedModel(record.basis(), record.coefficients)
             try:
+                model = FittedModel(record.basis(bases), record.coefficients)
                 registry.restore(
                     record.name,
                     record.version,
@@ -236,7 +242,7 @@ class RecoveryManager:
                     record.published_at,
                     model,
                 )
-            except PublishRejectedError as exc:
+            except (CorruptRecordError, PublishRejectedError) as exc:
                 rejected.append((record.name, record.version, str(exc)))
                 continue
             restored.append((record.name, record.version))

@@ -69,7 +69,13 @@ from typing import List, Optional, Tuple
 
 from ..faults import SimulatedCrash, failpoint
 from ..runtime.metrics import metrics
-from .format import CorruptRecordError, ModelRecord, decode_record, encode_record
+from .format import (
+    CorruptRecordError,
+    ModelRecord,
+    decode_record,
+    encode_record,
+    record_crc,
+)
 
 __all__ = [
     "JournalCheckpoint",
@@ -325,11 +331,12 @@ class ModelStore:
 
     def _write_atomic(self, tmp: Path, final: Path, blob: bytes) -> None:
         half = len(blob) // 2
+        view = memoryview(blob)
         crash: Optional[SimulatedCrash] = None
         with open(tmp, "wb") as handle:
-            handle.write(blob[:half])
+            handle.write(view[:half])
             _FP_WRITE.hit()
-            handle.write(blob[half:])
+            handle.write(view[half:])
             handle.flush()
             try:
                 _FP_FSYNC.hit()
@@ -359,12 +366,14 @@ class ModelStore:
             os.close(fd)
 
     def _journal_append(self, record: ModelRecord, filename: str, blob: bytes) -> None:
+        # The blob's stored CRC was computed over these very bytes by
+        # encode_record; the journal line repeats it instead of rehashing.
         payload = json.dumps(
             {
                 "name": record.name,
                 "version": record.version,
                 "file": filename,
-                "crc": zlib.crc32(blob[8:]) & 0xFFFFFFFF,
+                "crc": record_crc(blob),
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -721,7 +730,7 @@ class ModelStore:
             published_at=float(published_at),
             basis_digest=model.basis.cache_token(),
             basis_num_vars=model.basis.num_vars,
-            basis_indices=tuple(model.basis.indices),
+            basis_index_array=model.basis.index_array(),
             coefficients=model.coefficients,
             prior_name=None if prior is None else prior.name,
             prior_mean=None if prior is None else prior.mean,

@@ -358,6 +358,28 @@ class TestBrownoutShedding:
             assert result.shape == (1,)
             assert engine.stats()["brownout_shed"] == 0
 
+    def test_shared_controller_keeps_one_regime_per_engine(self, basis, model):
+        """A sick engine's brownout is not flipped by a healthy engine."""
+        controller = BrownoutController()
+        sick_health = HealthTracker(window=8)
+        for _ in range(8):
+            sick_health.observe_outcome(False)  # score 0: deep brownout
+        sick = make_engine(basis, model, health=sick_health, brownout=controller)
+        healthy = make_engine(basis, model, brownout=controller)
+        x = np.zeros((1, basis.num_vars))
+        with sick, healthy:
+            for _ in range(5):  # ten alternating low-priority submits
+                with pytest.raises(BrownoutShedError):
+                    sick.submit("m", x, priority=PRIORITY_LOW)
+                healthy.submit("m", x, priority=PRIORITY_LOW).result(timeout=5.0)
+            stats = controller.stats()
+            assert (stats["entered"], stats["exited"]) == (1, 0)
+            assert stats["active"]
+            assert sick.stats()["brownout_active"]
+            assert not healthy.stats()["brownout_active"]
+            assert sick.stats()["brownout_shed"] == 5
+            assert healthy.stats()["brownout_shed"] == 0
+
 
 class TestCancellationLifecycle:
     def test_cancelled_requests_are_dropped_not_evaluated(self, basis, model):

@@ -8,6 +8,8 @@ from the store, and the kill/rebalance accounting.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,19 @@ class TestJournalFollower:
         assert follower.poll() == 1  # v1 applied, v2 corrupt
         assert _counter("serving.shard.replica_corrupt") - before == 1
         assert replica.current("power").version == 1
+
+    def test_basis_off_its_digest_counted_and_skipped(self, store):
+        primary = ModelRegistry(store=store)
+        replica = ModelRegistry()
+        follower = JournalFollower(store, replica)
+        primary.publish("power", make_model(seed=1))
+        record = store.read(store.records_dir / store.record_filename("power", 1))
+        store.append(replace(record, name="delay", basis_digest="0" * 32))
+        before = _counter("serving.shard.replica_corrupt")
+        assert follower.poll() == 1  # power applied, delay refused
+        assert _counter("serving.shard.replica_corrupt") - before == 1
+        assert "delay" not in replica
+        assert replica.current("power").model.basis == make_basis()
 
     def test_resync_bootstraps_fresh_registry(self, store):
         primary = ModelRegistry(store=store)

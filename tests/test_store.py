@@ -9,6 +9,7 @@ durability modes.
 
 from __future__ import annotations
 
+import json
 import struct
 import zlib
 
@@ -52,11 +53,126 @@ def make_record(name="power", version=1, seed=0, **overrides):
         published_at=123.5,
         basis_digest=basis.cache_token(),
         basis_num_vars=basis.num_vars,
-        basis_indices=tuple(basis.indices),
+        basis_index_array=basis.index_array(),
         coefficients=rng.normal(size=len(basis.indices)),
     )
     fields.update(overrides)
     return ModelRecord(**fields)
+
+
+def v1_blob(basis, coefficients):
+    """A record in the version 1 layout: the basis as a JSON index list."""
+    header = {
+        "record": {
+            "name": "power",
+            "version": 1,
+            "key": "deadbeef" * 4,
+            "published_at": 123.5,
+            "basis_digest": basis.cache_token(),
+            "basis_num_vars": basis.num_vars,
+            "basis_indices": [[list(pair) for pair in idx] for idx in basis.indices],
+            "prior_name": None,
+            "eta": None,
+            "chol_prior_index": None,
+        },
+        "arrays": [
+            {
+                "name": "coefficients",
+                "dtype": coefficients.dtype.str,
+                "shape": list(coefficients.shape),
+                "offset": 0,
+                "nbytes": coefficients.nbytes,
+            }
+        ],
+    }
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = struct.pack("<II", 1, len(header_bytes)) + header_bytes + coefficients.tobytes()
+    return MAGIC + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF) + body
+
+
+def basis_record(basis, **overrides):
+    fields = dict(
+        basis_digest=basis.cache_token(),
+        basis_num_vars=basis.num_vars,
+        basis_index_array=basis.index_array(),
+        coefficients=np.ones(basis.size),
+    )
+    fields.update(overrides)
+    return make_record(**fields)
+
+
+class TestRecordFormatV2:
+    MIXED = [
+        (),
+        ((0, 1),),
+        ((3, 1),),
+        ((0, 1), (2, 1)),
+        ((1, 2),),
+        ((0, 1), (1, 1), (3, 1)),
+        ((2, 3),),
+        ((0, 2), (3, 1)),
+    ]
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            OrthonormalBasis(4, MIXED),
+            OrthonormalBasis(3, [()]),
+            OrthonormalBasis.linear(5),
+            OrthonormalBasis.total_degree(3, 3),
+        ],
+        ids=["mixed-depth", "constant", "linear", "degree-3"],
+    )
+    def test_basis_round_trips_with_its_digest(self, basis):
+        decoded = decode_record(encode_record(basis_record(basis)))
+        assert decoded.basis_index_array.dtype.kind == "i"
+        assert not decoded.basis_index_array.flags.writeable
+        rebuilt = decoded.basis()
+        assert rebuilt == basis
+        assert rebuilt.indices == basis.indices
+        assert rebuilt.cache_token() == basis.cache_token()
+
+    def test_basis_refuses_a_structure_that_misses_its_digest(self):
+        basis = OrthonormalBasis(4, self.MIXED)
+        swapped = basis.index_array()[[1, 0, *range(2, basis.size)]]
+        record = decode_record(encode_record(basis_record(basis, basis_index_array=swapped)))
+        with pytest.raises(CorruptRecordError, match="digest"):
+            record.basis()
+        invalid = basis.index_array().copy()
+        invalid[1, 0] = (7, 1)  # variable outside [0, 4)
+        with pytest.raises(CorruptRecordError, match="invalid basis structure"):
+            basis_record(basis, basis_index_array=invalid).basis()
+
+    def test_known_bases_are_shared_by_digest(self):
+        basis = OrthonormalBasis(4, self.MIXED)
+        known = {}
+        first = basis_record(basis, version=1).basis(known)
+        second = basis_record(basis, version=2).basis(known)
+        assert first is second
+        assert known == {basis.cache_token(): first}
+
+    def test_version_1_blob_is_unsupported(self, tmp_path):
+        basis = make_basis()
+        blob = v1_blob(basis, np.ones(basis.size))
+        with pytest.raises(CorruptRecordError, match="unsupported format version 1"):
+            decode_record(blob)
+        store = ModelStore(tmp_path, use_fsync=False)
+        (store.records_dir / store.record_filename("power", 1)).write_bytes(blob)
+        recovery = RecoveryManager(store).recover()
+        assert recovery.restored == ()
+        assert len(recovery.quarantined) == 1
+        reason = recovery.quarantined[0].with_suffix(".rbmf.reason").read_text()
+        assert "unsupported format version 1" in reason
+
+    def test_header_does_not_grow_with_basis_size(self):
+        def header_length(num_vars):
+            blob = encode_record(basis_record(OrthonormalBasis.linear(num_vars)))
+            return struct.unpack_from("<I", blob, 12)[0]
+
+        small, large = header_length(9), header_length(1804)  # M = 10, 1805
+        # Only the decimal widths of num_vars, shapes and offsets differ.
+        assert large - small < 32
+        assert large < 1024
 
 
 class TestRecordFormat:
@@ -95,7 +211,7 @@ class TestRecordFormat:
         record = make_record(
             basis_digest=basis.cache_token(),
             basis_num_vars=basis.num_vars,
-            basis_indices=tuple(basis.indices),
+            basis_index_array=basis.index_array(),
             coefficients=np.ones(len(basis.indices)),
         )
         rebuilt = decode_record(encode_record(record)).basis()
@@ -292,6 +408,35 @@ class TestRecovery:
         assert recovery.restored == (("delay", 1), ("power", 1), ("power", 2))
         assert recovery.rejected == () and recovery.quarantined == ()
         assert recovery.registry.current("power").version == 2
+
+    def test_versions_on_one_basis_share_one_rebuilt_basis(self, tmp_path):
+        store = ModelStore(tmp_path, use_fsync=False)
+        registry = ModelRegistry(store=store)
+        for seed in (1, 2, 3):
+            self._publish_fitted(registry, "power", seed=seed)
+        self._publish_fitted(registry, "delay", seed=4)
+        snapshot = registry.snapshot()
+        manager = RecoveryManager(ModelStore(tmp_path, use_fsync=False))
+        for recovery in (manager.recover(), manager.recover_at(4)):
+            assert recovery.registry.snapshot() == snapshot
+            bases = [
+                version.model.basis
+                for name in ("power", "delay")
+                for version in recovery.registry.versions(name)
+            ]
+            assert len(bases) == 4
+            assert all(basis is bases[0] for basis in bases)
+            assert bases[0] == make_basis()
+
+    def test_basis_off_its_digest_rejected_and_quarantined(self, tmp_path):
+        store = ModelStore(tmp_path, use_fsync=False)
+        store.append(make_record(version=1))
+        store.append(make_record(version=2, basis_digest="0" * 32))
+        recovery = RecoveryManager(store).recover()
+        assert recovery.restored == (("power", 1),)
+        assert [entry[:2] for entry in recovery.rejected] == [("power", 2)]
+        assert "digest" in recovery.rejected[0][2]
+        assert len(recovery.quarantined) == 1
 
     def test_corrupt_record_not_restored(self, tmp_path):
         store = ModelStore(tmp_path, use_fsync=False)

@@ -57,7 +57,7 @@ def make_record(name="power", version=1, seed=0, **overrides):
         published_at=123.5 + version,
         basis_digest=basis.cache_token(),
         basis_num_vars=basis.num_vars,
-        basis_indices=tuple(basis.indices),
+        basis_index_array=basis.index_array(),
         coefficients=rng.normal(size=len(basis.indices)),
     )
     fields.update(overrides)

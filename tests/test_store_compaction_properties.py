@@ -48,7 +48,7 @@ def make_record(name, version, seed):
         published_at=123.5 + version,
         basis_digest=BASIS.cache_token(),
         basis_num_vars=BASIS.num_vars,
-        basis_indices=tuple(BASIS.indices),
+        basis_index_array=BASIS.index_array(),
         coefficients=rng.normal(size=len(BASIS.indices)),
     )
 

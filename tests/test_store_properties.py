@@ -53,7 +53,7 @@ def make_record(coefficients, chol_lower=None, eta=None):
         published_at=1700000000.25,
         basis_digest="digest",
         basis_num_vars=2,
-        basis_indices=(((0, 1),), ((1, 2),)),
+        basis_index_array=np.array([[[0, 1]], [[1, 2]]]),
         coefficients=coefficients,
         chol_lower=chol_lower,
         chol_prior_index=None if chol_lower is None else 0,
@@ -96,7 +96,7 @@ class TestRoundTripBitwise:
             published_at=published_at,
             basis_digest="d",
             basis_num_vars=1,
-            basis_indices=(((0, 1),),),
+            basis_index_array=np.array([[[0, 1]]]),
             coefficients=np.ones(1),
             eta=eta,
         )
