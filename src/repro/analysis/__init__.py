@@ -21,7 +21,6 @@ from .contracts import (
     ContractViolationError,
     accepts_arrays,
     check_array,
-    check_close,
     contracts_enabled,
     returns_array,
     set_contracts_enabled,
@@ -39,7 +38,6 @@ __all__ = [
     "Violation",
     "accepts_arrays",
     "check_array",
-    "check_close",
     "concurrency",
     "contracts_enabled",
     "filter_baselined",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import os
-import threading
 from ..locks import named_lock
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -25,7 +24,6 @@ import numpy as np
 __all__ = [
     "ContractViolationError",
     "check_array",
-    "check_close",
     "returns_array",
     "accepts_arrays",
     "contracts_enabled",
@@ -105,47 +103,6 @@ def check_array(
         raise ContractViolationError(
             f"{name}: expected c_contiguous={c_contiguous}, got "
             f"{bool(value.flags.c_contiguous)}"
-        )
-    return value
-
-
-def check_close(
-    value: Any,
-    reference: Any,
-    *,
-    rtol: float,
-    atol: float = 0.0,
-    name: str = "array",
-) -> Any:
-    """Bound ``value``'s inf-norm relative error against ``reference``.
-
-    The numeric-accuracy contract of the reduced-precision serving paths:
-    ``max |value - reference|`` must not exceed
-    ``atol + rtol * max |reference|``.  Unlike :func:`check_array` this
-    *does* traverse the data, so callers gate it behind the same
-    ``REPRO_CONTRACTS`` switch (it is a no-op when contracts are
-    disabled).  Non-finite entries in ``value`` always violate the
-    contract -- an overflowed float32 prediction must not pass just
-    because the reference overflowed the same way.
-    """
-    if not contracts_enabled():
-        return value
-    got = np.asarray(value, dtype=np.float64)
-    want = np.asarray(reference, dtype=np.float64)
-    if got.shape != want.shape:
-        raise ContractViolationError(
-            f"{name}: shape {got.shape} does not match reference {want.shape}"
-        )
-    if got.size and not np.all(np.isfinite(got)):
-        raise ContractViolationError(f"{name}: contains non-finite entries")
-    if got.size == 0:
-        return value
-    error = float(np.max(np.abs(got - want)))
-    bound = atol + rtol * float(np.max(np.abs(want)))
-    if error > bound:
-        raise ContractViolationError(
-            f"{name}: max abs error {error:.3e} exceeds bound {bound:.3e} "
-            f"(rtol={rtol:.1e}, atol={atol:.1e})"
         )
     return value
 

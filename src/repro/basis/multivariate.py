@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.contracts import check_array
-from ..backends import resolve_dtype
 from ..runtime.cache import design_cache, design_key
 from ..runtime.metrics import metrics
 from .hermite import hermite_orthonormal_all
@@ -147,10 +146,7 @@ class OrthonormalBasis:
     # Evaluation
     # ------------------------------------------------------------------
     def design_matrix(
-        self,
-        x: np.ndarray,
-        columns: Optional[Sequence[int]] = None,
-        dtype: Optional[object] = None,
+        self, x: np.ndarray, columns: Optional[Sequence[int]] = None
     ) -> np.ndarray:
         """Assemble the design matrix **G** of eq. (9).
 
@@ -162,12 +158,6 @@ class OrthonormalBasis:
         columns:
             Optional subset of basis-function indices to evaluate; defaults
             to all ``M`` functions.
-        dtype:
-            Result dtype: ``None``/float64 (the canonical bits) or float32
-            (the opt-in reduced-precision serving mode; see
-            ``docs/backends.md``).  Cache entries are keyed per dtype, so
-            mixed-precision callers never cross-serve each other's
-            matrices.
 
         Returns
         -------
@@ -175,23 +165,20 @@ class OrthonormalBasis:
             ``G`` of shape ``(K, len(columns))`` with
             ``G[k, j] = g_{columns[j]}(x[k])``.
         """
-        out_dtype = resolve_dtype(dtype)
         x = self._coerce_samples(x)
         wanted = self._resolve_columns(columns)
 
         cache = design_cache()
         if cache is None or x.shape[0] * max(len(wanted), 1) < cache.min_result_cells:
-            result = self._assemble(x, wanted, out_dtype)
+            result = self._assemble(x, wanted)
         else:
             signature = None if columns is None else tuple(wanted)
-            key = design_key(self.cache_token(), x, signature, dtype=out_dtype)
-            result = cache.get_or_compute(
-                key, lambda: self._assemble(x, wanted, out_dtype), dtype=out_dtype
-            )
+            key = design_key(self.cache_token(), x, signature)
+            result = cache.get_or_compute(key, lambda: self._assemble(x, wanted))
         return check_array(
             result,
             name="design matrix G",
-            dtype=out_dtype,
+            dtype=np.float64,
             ndim=2,
             c_contiguous=True,
         )
@@ -227,22 +214,20 @@ class OrthonormalBasis:
             wanted.append(c)
         return wanted
 
-    def _assemble(
-        self, x: np.ndarray, wanted: List[int], dtype: np.dtype
-    ) -> np.ndarray:
+    def _assemble(self, x: np.ndarray, wanted: List[int]) -> np.ndarray:
         with metrics.timer("design_matrix"):
             metrics.increment("design_matrix.calls")
             metrics.increment("design_matrix.cells", x.shape[0] * len(wanted))
             if self.is_linear():
-                return self._linear_design_matrix(x, wanted, dtype)
-            plan = self._gather_plan(x, wanted, dtype)
+                return self._linear_design_matrix(x, wanted)
+            plan = self._gather_plan(x, wanted)
             if plan is None:
-                return np.ones((x.shape[0], len(wanted)), dtype=dtype)
+                return np.ones((x.shape[0], len(wanted)), dtype=np.float64)
             stacked, gather = plan
             return self._gather_product(stacked, gather)
 
     def _gather_plan(
-        self, x: np.ndarray, wanted: List[int], dtype: np.dtype
+        self, x: np.ndarray, wanted: List[int]
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Build the ``(stacked table, gather indices)`` assembly plan.
 
@@ -256,10 +241,8 @@ class OrthonormalBasis:
         the shape :meth:`_gather_product` assembles and the fused
         :meth:`_fused_gather_matvec` serving kernel consumes.
 
-        The recurrence always runs in float64; a float32 plan downcasts
-        the stacked table once.  Returns ``None`` when the selection needs
-        no table at all (empty selection or constant-only columns -- the
-        result is all ones).
+        Returns ``None`` when the selection needs no table at all (empty
+        selection or constant-only columns -- the result is all ones).
         """
         num_samples = x.shape[0]
         num_cols = len(wanted)
@@ -285,7 +268,7 @@ class OrthonormalBasis:
         batch = hermite_orthonormal_all(table_degree, x[:, active])
         num_active = len(active)
         stacked = np.empty(
-            (num_samples, 1 + table_degree * num_active), dtype=dtype
+            (num_samples, 1 + table_degree * num_active), dtype=np.float64
         )
         stacked[:, 0] = 1.0
         stacked[:, 1:] = batch[1:].transpose(1, 0, 2).reshape(num_samples, -1)
@@ -358,11 +341,9 @@ class OrthonormalBasis:
             np.dot(product[:rows], coefficients, out=out[k0:k1])
         return out
 
-    def _linear_design_matrix(
-        self, x: np.ndarray, wanted: List[int], dtype: np.dtype
-    ) -> np.ndarray:
+    def _linear_design_matrix(self, x: np.ndarray, wanted: List[int]) -> np.ndarray:
         """Fast path for linear bases: columns are 1 or a raw variable."""
-        out = np.empty((x.shape[0], len(wanted)), dtype=dtype)
+        out = np.empty((x.shape[0], len(wanted)), dtype=np.float64)
         const_pos: List[int] = []
         var_pos: List[int] = []
         var_ids: List[int] = []
@@ -379,12 +360,7 @@ class OrthonormalBasis:
             out[:, var_pos] = x[:, var_ids]
         return out
 
-    def fused_predict(
-        self,
-        x: np.ndarray,
-        coefficients: np.ndarray,
-        dtype: Optional[object] = None,
-    ) -> np.ndarray:
+    def fused_predict(self, x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
         """Fused design-matrix -> prediction serving kernel.
 
         Computes ``design_matrix(x) @ coefficients`` in one call.  On a
@@ -395,16 +371,11 @@ class OrthonormalBasis:
         ``min_result_cells`` threshold -- the common serving micro-batch --
         :meth:`_fused_gather_matvec` streams block-sized slices of the
         assembly straight into the dot product, so no ``K x M``
-        intermediate is ever materialized.
-
-        ``dtype`` selects the serving precision (``None``/float64 or the
-        opt-in float32 mode bounded by
-        :data:`repro.backends.FLOAT32_SERVING_RTOL`); the result has that
-        dtype.  Counted as ``backends.fused_predicts``.
+        intermediate is ever materialized.  Counted as
+        ``backends.fused_predicts``.
         """
-        out_dtype = resolve_dtype(dtype)
         x = self._coerce_samples(x)
-        coefficients = np.ascontiguousarray(coefficients, dtype=out_dtype)
+        coefficients = np.ascontiguousarray(coefficients, dtype=np.float64)
         if coefficients.shape != (self.size,):
             raise ValueError(
                 f"expected {self.size} coefficients, got shape {coefficients.shape}"
@@ -416,17 +387,15 @@ class OrthonormalBasis:
             cache is not None
             and x.shape[0] * max(self.size, 1) >= cache.min_result_cells
         ):
-            key = design_key(self.cache_token(), x, None, dtype=out_dtype)
-            design = cache.get_or_compute(
-                key, lambda: self._assemble(x, wanted, out_dtype), dtype=out_dtype
-            )
+            key = design_key(self.cache_token(), x, None)
+            design = cache.get_or_compute(key, lambda: self._assemble(x, wanted))
             return design @ coefficients
         if self.is_linear():
-            design = self._linear_design_matrix(x, wanted, out_dtype)
+            design = self._linear_design_matrix(x, wanted)
             return design @ coefficients
-        plan = self._gather_plan(x, wanted, out_dtype)
+        plan = self._gather_plan(x, wanted)
         if plan is None:
-            design = np.ones((x.shape[0], self.size), dtype=out_dtype)
+            design = np.ones((x.shape[0], self.size), dtype=np.float64)
             return design @ coefficients
         stacked, gather = plan
         return self._fused_gather_matvec(stacked, gather, coefficients)

@@ -19,7 +19,6 @@ every transition is both counted in :mod:`repro.runtime.metrics`
 
 from __future__ import annotations
 
-import threading
 from ..locks import named_lock
 import time
 from typing import Callable, Dict, Optional

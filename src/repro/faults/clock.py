@@ -1,8 +1,7 @@
 """Injectable manual clock for deterministic time-driven tests.
 
-Components whose behavior depends on elapsed time -- the
-:class:`~repro.faults.CircuitBreaker` recovery timeout, the
-:class:`~repro.serving.health.AIMDLimiter` decrease cooldown -- accept a
+Components whose behavior depends on elapsed time -- such as the
+:class:`~repro.faults.CircuitBreaker` recovery timeout -- accept a
 ``clock`` callable so tests can drive time explicitly instead of
 sleeping.  :class:`ManualClock` is the canonical implementation: a
 thread-safe monotonic counter advanced only by :meth:`advance` /
@@ -22,8 +21,8 @@ class ManualClock:
     Use anywhere a ``clock: Callable[[], float]`` parameter is accepted::
 
         clock = ManualClock()
-        limiter = AIMDLimiter(0.01, cooldown_seconds=5.0, clock=clock)
-        clock.advance(5.0)   # one cooldown elapses, no wall-time spent
+        breaker = CircuitBreaker(reset_timeout_seconds=5.0, clock=clock)
+        clock.advance(5.0)   # the reset timeout elapses, no wall-time spent
     """
 
     def __init__(self, start: float = 0.0):

@@ -30,7 +30,6 @@ raised), and ``faults.delays`` (latency injections).
 from __future__ import annotations
 
 import functools
-import threading
 from ..locks import named_lock
 import time
 from contextlib import contextmanager

@@ -23,7 +23,6 @@ it entirely.  Hits/misses/evictions are reported through
 from __future__ import annotations
 
 import hashlib
-import threading
 from ..locks import named_lock
 from collections import OrderedDict
 from typing import Callable, Hashable, Optional, Tuple
@@ -62,16 +61,13 @@ def design_key(
     basis_token: str,
     x: np.ndarray,
     signature: Optional[Tuple[int, ...]],
-    dtype: "np.dtype" = np.dtype(np.float64),
 ) -> CacheKey:
-    """Cache key for one assembled design matrix.
+    """Cache key for one assembled design matrix: value identity.
 
-    Value identity (basis digest + sample fingerprint + column signature)
-    is joined by the result dtype: a float32 and a float64 assembly of the
-    same samples are different arrays and must never collide or
-    cross-serve.
+    The basis digest, the sample fingerprint and the column signature
+    (``None`` for all columns).
     """
-    return (basis_token, fingerprint_array(x), signature, np.dtype(dtype).str)
+    return (basis_token, fingerprint_array(x), signature)
 
 
 class DesignMatrixCache:
@@ -159,17 +155,13 @@ class DesignMatrixCache:
 
     # ------------------------------------------------------------------
     def get_or_compute(
-        self,
-        key: CacheKey,
-        compute: Callable[[], np.ndarray],
-        dtype: Optional["np.dtype"] = None,
+        self, key: CacheKey, compute: Callable[[], np.ndarray]
     ) -> np.ndarray:
         """Return the cached matrix for ``key``, computing it on a miss.
 
         The stored (and returned) array is marked read-only; callers that
-        need to mutate must copy.  ``dtype``, when given, is re-validated
-        on every hit alongside the read-only flag -- a dtype-keyed entry
-        must serve exactly the dtype its key promises.
+        need to mutate must copy.  Every hit re-validates the entry as a
+        read-only, C-contiguous float64 matrix.
 
         A hit entry that fails re-validation (its read-only contract was
         broken, or the ``cache.lookup`` failpoint injects a corruption
@@ -190,7 +182,7 @@ class DesignMatrixCache:
                 return check_array(
                     cached,
                     name="cached design matrix",
-                    dtype=dtype,
+                    dtype=np.float64,
                     writeable=False,
                     c_contiguous=True,
                 )

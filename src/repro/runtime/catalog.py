@@ -35,8 +35,6 @@ __all__ = [
 
 #: Counter names -> one-line description (what one increment means).
 METRICS: Dict[str, str] = {
-    "backends.float32_bound_checks": "float32 serving batches checked against the float64 bound",
-    "backends.float32_serves": "serving batches evaluated in float32",
     "backends.fused_predicts": "predictions served through the fused design-predict kernel",
     "bmf.cv_eigendecompositions": "fold kernels eigendecomposed after a BMF cross-validation Cholesky failed",
     "bmf.cv_evaluations": "candidate models scored during BMF cross-validation",
@@ -85,8 +83,6 @@ METRICS: Dict[str, str] = {
     "serving.hedge.cancelled": "hedge losers cancelled before evaluation",
     "serving.hedge.primary_wins": "hedged requests where the primary still answered first",
     "serving.hedge.wins": "hedged requests won by the backup replica",
-    "serving.limit.decreases": "adaptive-limit multiplicative decreases",
-    "serving.limit.increases": "adaptive-limit additive increases",
     "serving.marked_bad": "model versions marked bad",
     "serving.publish_persist_skipped": "publishes that skipped store persistence",
     "serving.publishes": "model versions published to a registry",

@@ -15,7 +15,6 @@ needs its own counts emits through a :meth:`MetricsRegistry.scope`.
 
 from __future__ import annotations
 
-import threading
 from ..locks import named_lock
 import time
 from contextlib import contextmanager

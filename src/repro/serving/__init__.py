@@ -18,7 +18,6 @@ from .health import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
-    AIMDLimiter,
     BrownoutController,
     HealthTracker,
     HedgedFuture,
@@ -29,7 +28,6 @@ from .registry import ModelRegistry, ModelVersion, PublishRejectedError, model_k
 from .sharding import JournalFollower, ShardDeadError, ShardRouter
 
 __all__ = [
-    "AIMDLimiter",
     "BrownoutController",
     "BrownoutShedError",
     "EngineOverloadedError",

@@ -58,12 +58,10 @@ from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.contracts import check_close, contracts_enabled
-from ..backends import FLOAT32_SERVING_RTOL, resolve_dtype
 from ..faults import (
     CircuitBreaker,
     CircuitOpenError,
@@ -73,12 +71,7 @@ from ..faults import (
     failpoint,
 )
 from ..runtime.metrics import metrics
-from .health import (
-    PRIORITY_NORMAL,
-    AIMDLimiter,
-    BrownoutController,
-    HealthTracker,
-)
+from .health import PRIORITY_NORMAL, BrownoutController, HealthTracker
 from .registry import ModelRegistry, ModelVersion
 
 __all__ = [
@@ -143,6 +136,12 @@ _STOP = object()
 #: (a shared default instance would couple unrelated engines' states).
 _DEFAULT_BREAKER = object()
 
+#: Most requests the dispatcher coalesces into one micro-batch.
+_MAX_BATCH_SIZE = 64
+
+#: Health-score floor of the :meth:`PredictionEngine.ready` probe.
+_READY_THRESHOLD = 0.5
+
 #: Slice length of the liveness-checked un-timed wait
 #: (:meth:`PredictionEngine.await_result`): long enough that the poll is
 #: free next to any real evaluation, short enough that a dead dispatcher
@@ -160,15 +159,11 @@ class _BoundedRequestQueue:
     exceed the bound, which :attr:`peak_depth` records for the tests.
     Control sentinels (stop markers) bypass the bound; they must always
     be deliverable.  :meth:`pause` parks consumers without blocking
-    producers, so tests can stage a deterministic backlog.
-
-    ``bound`` may be a static int, ``None`` (unbounded), or a callable
-    returning the live bound -- the adaptive-concurrency path passes
-    :meth:`AIMDLimiter.current_limit <repro.serving.health.AIMDLimiter.
-    current_limit>` so every admission reads the freshest limit.
+    producers, so tests can stage a deterministic backlog.  A ``bound`` of
+    ``None`` leaves the queue unbounded.
     """
 
-    def __init__(self, bound: Union[int, Callable[[], Optional[int]], None]):
+    def __init__(self, bound: Optional[int]):
         self._bound = bound
         self._cond = named_condition("serving.engine.queue")
         self._items: "deque" = deque()
@@ -184,7 +179,7 @@ class _BoundedRequestQueue:
         runs even when the newcomer is ultimately rejected, so a full
         queue of dead requests never starves live traffic.
         """
-        bound = self._bound() if callable(self._bound) else self._bound
+        bound = self._bound
         with self._cond:
             shed: List[_Request] = []
             if bound is not None and self._depth >= bound:
@@ -264,12 +259,11 @@ class PredictionEngine:
         The :class:`~repro.serving.registry.ModelRegistry` to resolve model
         names against (resolution happens per micro-batch, at evaluation
         time).
-    max_batch_size:
-        Maximum number of requests coalesced into one evaluation.
     max_delay_seconds:
         How long the dispatcher lingers for additional requests after the
         first one of a batch arrives.  Zero disables lingering (each
-        request still batches with whatever is already queued).
+        request still batches with whatever is already queued).  A
+        micro-batch holds at most 64 requests.
     workers:
         Worker threads evaluating micro-batches.
     retry_policy:
@@ -281,41 +275,21 @@ class PredictionEngine:
     serve_last_good:
         Degrade to the registry's newest good earlier version when the
         current one cannot be evaluated (instead of failing requests).
-    default_timeout_seconds:
-        Deadline attached to requests submitted without one (``None`` =
-        no implicit deadline).
     max_queue_depth:
         Hard bound on queued (not yet dispatched) requests.  A full
         queue sheds its oldest expired entries first and then rejects
         new submits with :class:`EngineOverloadedError`; ``None``
         disables the bound (pre-overload-protection behavior).
-    serving_dtype:
-        Numeric precision of the serving path: ``None``/float64
-        (default, the canonical bits) or float32 (opt-in
-        reduced-precision mode -- predictions and response arrays are
-        float32).  With contracts enabled (``REPRO_CONTRACTS``), every
-        float32 batch is additionally evaluated in float64 and the
-        float32 result must stay within ``float32_rtol`` of it
-        (inf-norm relative; violations surface as caller errors and
-        never trip the circuit breaker).  See ``docs/backends.md``.
-    float32_rtol:
-        Relative error bound enforced on float32 batches; defaults to
-        :data:`repro.backends.FLOAT32_SERVING_RTOL`.
-    limiter:
-        Optional :class:`~repro.serving.health.AIMDLimiter`.  When set,
-        the bounded queue reads the limiter's live limit on every
-        admission instead of the static ``max_queue_depth`` (which then
-        only seeds the limiter-less fallback), and every successful
-        request latency feeds the limiter's AIMD windows.
     brownout:
         Optional :class:`~repro.serving.health.BrownoutController`.
         When set, every :meth:`submit` is gated on the request's
         ``priority`` against the live health score; shed requests raise
         :class:`BrownoutShedError` at the submission site.  One
         controller may serve several engines; it keeps each one's regime.
-    ready_threshold:
-        Health-score floor for the :meth:`ready` probe (liveness is
-        separate; see :meth:`live`).
+    health:
+        The :class:`~repro.serving.health.HealthTracker` behind
+        :meth:`health_score` and the latency figures of :meth:`stats`;
+        a fresh one per engine by default.
     fault_tag:
         Tag attached to this engine's failpoint hits
         (``engine.evaluate``), so tag-scoped fault plans can target one
@@ -328,41 +302,27 @@ class PredictionEngine:
     def __init__(
         self,
         registry: ModelRegistry,
-        max_batch_size: int = 64,
         max_delay_seconds: float = 0.001,
         workers: int = 2,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = _DEFAULT_BREAKER,  # type: ignore[assignment]
         serve_last_good: bool = True,
-        default_timeout_seconds: Optional[float] = None,
         max_queue_depth: Optional[int] = 1024,
-        serving_dtype: Optional[object] = None,
-        float32_rtol: float = FLOAT32_SERVING_RTOL,
-        limiter: Optional[AIMDLimiter] = None,
         brownout: Optional[BrownoutController] = None,
         health: Optional[HealthTracker] = None,
-        ready_threshold: float = 0.5,
         fault_tag: Optional[str] = None,
     ):
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if max_delay_seconds < 0:
             raise ValueError(
                 f"max_delay_seconds must be >= 0, got {max_delay_seconds}"
             )
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if default_timeout_seconds is not None and default_timeout_seconds <= 0:
-            raise ValueError(
-                "default_timeout_seconds must be > 0 or None, got "
-                f"{default_timeout_seconds}"
-            )
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1 or None, got {max_queue_depth}"
             )
         self.registry = registry
-        self.max_batch_size = int(max_batch_size)
         self.max_delay_seconds = float(max_delay_seconds)
         self.workers = int(workers)
         if retry_policy is None:
@@ -374,33 +334,16 @@ class PredictionEngine:
             breaker = CircuitBreaker()
         self.breaker = breaker
         self.serve_last_good = bool(serve_last_good)
-        self.default_timeout_seconds = default_timeout_seconds
         self._retry_rng = retry_policy.make_rng()
         self._retry_rng_lock = named_lock("serving.engine.retry_rng")
         self.max_queue_depth = (
             None if max_queue_depth is None else int(max_queue_depth)
         )
-        self.serving_dtype = resolve_dtype(serving_dtype)
-        if float32_rtol <= 0:
-            raise ValueError(f"float32_rtol must be > 0, got {float32_rtol}")
-        self.float32_rtol = float(float32_rtol)
-        self._reduced_precision = self.serving_dtype != np.dtype(np.float64)
-        if not 0.0 <= ready_threshold <= 1.0:
-            raise ValueError(
-                f"ready_threshold must be in [0, 1], got {ready_threshold}"
-            )
-        self.limiter = limiter
         self.brownout = brownout
         self.health = health if health is not None else HealthTracker()
-        self.ready_threshold = float(ready_threshold)
         self.fault_tag = fault_tag
         self._last_ready: Optional[bool] = None
-        # With a limiter, the queue bound is the live AIMD limit; the
-        # static max_queue_depth stays as the limiter-less fallback.
-        if limiter is not None:
-            self._queue = _BoundedRequestQueue(limiter.current_limit)
-        else:
-            self._queue = _BoundedRequestQueue(self.max_queue_depth)
+        self._queue = _BoundedRequestQueue(self.max_queue_depth)
         self._dispatcher: Optional[threading.Thread] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._running = False
@@ -493,9 +436,7 @@ class PredictionEngine:
     # Health probes
     # ------------------------------------------------------------------
     def queue_bound(self) -> Optional[int]:
-        """The live admission bound: the limiter's limit, else the static one."""
-        if self.limiter is not None:
-            return self.limiter.current_limit()
+        """The admission bound, ``max_queue_depth`` (``None`` = unbounded)."""
         return self.max_queue_depth
 
     def live(self) -> bool:
@@ -534,14 +475,14 @@ class PredictionEngine:
         )
 
     def ready(self) -> bool:
-        """Readiness probe: live *and* healthy enough to take traffic.
+        """Readiness probe: live *and* a health score of at least 0.5.
 
         Transition edges are counted (``serving.health.degraded`` /
         ``serving.health.recovered``) so an operator sees flaps, not just
         the current state; the counters only move when a probe is
         actually called -- an unprobed engine emits nothing.
         """
-        is_ready = self.live() and self.health_score() >= self.ready_threshold
+        is_ready = self.live() and self.health_score() >= _READY_THRESHOLD
         transition: Optional[str] = None
         with self._stats_lock:
             # Baseline is "ready": an engine failing its very first probe
@@ -591,11 +532,8 @@ class PredictionEngine:
             raise ValueError(f"x must be 1-D or 2-D, got shape {x.shape}")
         if timeout is not None and deadline is not None:
             raise ValueError("pass timeout or deadline, not both")
-        if deadline is None:
-            if timeout is not None:
-                deadline = Deadline.after(timeout)
-            elif self.default_timeout_seconds is not None:
-                deadline = Deadline.after(self.default_timeout_seconds)
+        if timeout is not None:
+            deadline = Deadline.after(timeout)
         if not self.running:
             raise EngineStoppedError("PredictionEngine is not running")
         if self.brownout is not None and not self.brownout.admit(
@@ -687,7 +625,7 @@ class PredictionEngine:
             batch = [head]
             deadline = time.perf_counter() + self.max_delay_seconds
             stopped = False
-            while len(batch) < self.max_batch_size:
+            while len(batch) < _MAX_BATCH_SIZE:
                 remaining = deadline - time.perf_counter()
                 try:
                     if remaining > 0:
@@ -778,34 +716,12 @@ class PredictionEngine:
         with self.metrics.timer("serving.evaluate"):
             # Overflow is converted to an explicit error below, not a warning.
             with np.errstate(over="ignore", invalid="ignore"):
-                values = basis.fused_predict(
-                    stacked, coefficients, dtype=self.serving_dtype
-                )
+                values = basis.fused_predict(stacked, coefficients)
         if not np.all(np.isfinite(values)):
             raise ModelEvaluationError(
                 f"model {version.name!r} v{version.version} produced "
                 "non-finite predictions"
             )
-        if self._reduced_precision:
-            self.metrics.increment("backends.float32_serves")
-            if contracts_enabled():
-                # The float32 accuracy contract: re-evaluate the batch in
-                # float64 and bound the drift.  A violation raises
-                # ContractViolationError (a TypeError), which the retry and
-                # breaker layers classify as a caller error -- an accuracy
-                # bound miss says nothing about the version's health.
-                self.metrics.increment("backends.float32_bound_checks")
-                with np.errstate(over="ignore", invalid="ignore"):
-                    reference = basis.fused_predict(stacked, coefficients)
-                check_close(
-                    values,
-                    reference,
-                    rtol=self.float32_rtol,
-                    name=(
-                        f"float32 predictions for model {version.name!r} "
-                        f"v{version.version}"
-                    ),
-                )
         return values
 
     def _evaluate_with_retry(
@@ -918,13 +834,9 @@ class PredictionEngine:
             rows = request.x.shape[0]
             request.future.set_result(values[offset : offset + rows])
             offset += rows
-            latency = done - request.enqueued_at
-            # Feed the health tracker (always; its digest is where stats()
-            # reads latency) and the AIMD limiter (opt-in).
-            self.health.observe_latency(latency)
+            # Always fed: the tracker's digest is where stats() reads latency.
+            self.health.observe_latency(done - request.enqueued_at)
             self.health.observe_outcome(True)
-            if self.limiter is not None:
-                self.limiter.observe(latency)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
@@ -940,13 +852,12 @@ class PredictionEngine:
         keys may be a few events apart.
         """
         # Every source is read outside _stats_lock: the scope, tracker,
-        # limiter, brownout controller, queue and breaker have locks of
-        # their own, and nesting them would add lock-order edges.
+        # brownout controller, queue and breaker have locks of their own,
+        # and nesting them would add lock-order edges.
         counts = Counter(self.metrics.counters())
         digest = self.health.digest
         health_score = self.health_score()
         is_live = self.live()
-        limit = None if self.limiter is None else self.limiter.current_limit()
         brownout_active = (
             False if self.brownout is None else self.brownout.active_for(self)
         )
@@ -974,11 +885,10 @@ class PredictionEngine:
             "brownout_shed": counts["serving.brownout.shed"],
             "queue_depth": self._queue.depth(),
             "peak_queue_depth": self._queue.peak_depth(),
-            "queue_bound": limit if limit is not None else self.max_queue_depth,
-            "limit": limit,
+            "queue_bound": self.max_queue_depth,
             "health_score": health_score,
             "live": is_live,
-            "ready": is_live and health_score >= self.ready_threshold,
+            "ready": is_live and health_score >= _READY_THRESHOLD,
             "brownout_active": brownout_active,
             "breaker": self.breaker.snapshot() if self.breaker else {},
         }

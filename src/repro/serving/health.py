@@ -1,12 +1,12 @@
-"""Tail-tolerant serving primitives: health scoring, hedging, AIMD limits.
+"""Tail-tolerant serving primitives: health scoring, hedging, brownout.
 
 The sharded tier (``repro.serving.sharding``) treats a *dead* shard
 correctly -- the ring skips it and warm replicas absorb its names -- but
 a *slow* shard (GC pause, cold cache after restart, noisy neighbor) is
 still routed to as if it were healthy, so one straggler drags p99 for
 every model it owns while idle replicas hold the same bits.  This module
-supplies the four pieces that close that gap (``docs/serving.md`` has
-the operator-facing runbook):
+supplies the pieces that close that gap (``docs/serving.md`` has the
+operator-facing runbook):
 
 * :class:`LatencyDigest` -- a fixed-bucket, log-spaced latency histogram
   (stdlib + numpy only; no new deps) with an exact running sum and max.
@@ -21,15 +21,10 @@ the operator-facing runbook):
   replication; the first result wins and the loser is cancelled.  A
   token-bucket **hedge budget** caps hedges at a fraction of submitted
   requests, so hedging can never amplify an overload into a retry storm.
-* :class:`AIMDLimiter` -- an adaptive concurrency limit (additive
-  increase / multiplicative decrease on observed latency vs. a target,
-  clamped to ``[min, max]``) as an opt-in alternative to a static
-  ``max_queue_depth``; :class:`BrownoutController` sheds optional /
-  low-priority work first when the health score degrades.
+* :class:`BrownoutController` sheds optional / low-priority work first
+  when the health score degrades.
 
 Determinism: nothing here spawns a thread or reads a hidden clock.  The
-limiter advances on *count-based* observation windows (same latency
-trace -> same limit trace, the property suite pins this down), the
 brownout controller is a pure function of the score it is handed, and
 hedge decisions -- inherently timing-driven -- are confined to counters
 (``serving.hedge.*``) that are excluded from the chaos suite's
@@ -52,7 +47,6 @@ from ..locks import named_lock
 from ..runtime.metrics import metrics
 
 __all__ = [
-    "AIMDLimiter",
     "BrownoutController",
     "HealthTracker",
     "HedgePolicy",
@@ -69,41 +63,45 @@ PRIORITY_LOW = 0
 PRIORITY_NORMAL = 1
 PRIORITY_HIGH = 2
 
+#: :class:`LatencyDigest` range and resolution: log-spaced buckets from
+#: 10 us to 60 s, 15 per decade (~17% relative quantile error).
+_DIGEST_MIN_SECONDS = 1e-5
+_DIGEST_MAX_SECONDS = 60.0
+_DIGEST_BUCKETS_PER_DECADE = 15
+
+#: :class:`HealthTracker` penalty weights and the digest quantile its
+#: latency term reads.
+_ERROR_WEIGHT = 1.0
+_LATENCY_WEIGHT = 0.5
+_QUEUE_WEIGHT = 0.5
+_BREAKER_WEIGHT = 1.0
+_LATENCY_QUANTILE = 0.95
+
+#: :class:`BrownoutController` score thresholds: below the first,
+#: low-priority work is shed; below the second, only high-priority work
+#: is admitted.
+_BROWNOUT_LOW_THRESHOLD = 0.7
+_BROWNOUT_NORMAL_THRESHOLD = 0.4
+
 
 class LatencyDigest:
     """Fixed-bucket log-spaced latency histogram with quantile reads.
 
-    Buckets are geometrically spaced between ``min_seconds`` and
-    ``max_seconds`` (``buckets_per_decade`` per power of ten), plus one
-    underflow and one overflow bucket -- constant memory regardless of
-    how many samples stream through, which is what lets every request
-    feed it on the hot path.  :meth:`quantile` returns the *upper edge*
-    of the bucket where the cumulative count crosses the rank, a
-    conservative (never under-reporting) estimate with bounded relative
-    error ``10^(1/buckets_per_decade) - 1`` (~17% at the default 15
-    buckets per decade).  :attr:`mean` and :attr:`maximum` are exact:
-    the digest also keeps a running sum and max of the raw samples.
+    Buckets are geometrically spaced between 10 us and 60 s, 15 per power
+    of ten, plus one underflow and one overflow bucket -- constant memory
+    regardless of how many samples stream through, which is what lets
+    every request feed it on the hot path.  :meth:`quantile` returns the
+    *upper edge* of the bucket where the cumulative count crosses the
+    rank, a conservative (never under-reporting) estimate with bounded
+    relative error ``10^(1/15) - 1`` (~17%).  :attr:`mean` and
+    :attr:`maximum` are exact: the digest also keeps a running sum and max
+    of the raw samples.
     """
 
-    def __init__(
-        self,
-        min_seconds: float = 1e-5,
-        max_seconds: float = 60.0,
-        buckets_per_decade: int = 15,
-    ):
-        if min_seconds <= 0 or max_seconds <= min_seconds:
-            raise ValueError(
-                f"need 0 < min_seconds < max_seconds, got "
-                f"{min_seconds} / {max_seconds}"
-            )
-        if buckets_per_decade < 1:
-            raise ValueError(
-                f"buckets_per_decade must be >= 1, got {buckets_per_decade}"
-            )
-        self._log_min = math.log10(min_seconds)
-        decades = math.log10(max_seconds) - self._log_min
-        self._per_decade = int(buckets_per_decade)
-        inner = max(1, math.ceil(decades * self._per_decade))
+    def __init__(self):
+        self._log_min = math.log10(_DIGEST_MIN_SECONDS)
+        decades = math.log10(_DIGEST_MAX_SECONDS) - self._log_min
+        inner = max(1, math.ceil(decades * _DIGEST_BUCKETS_PER_DECADE))
         # index 0 = underflow, 1..inner = log-spaced, inner+1 = overflow
         self._counts = [0] * (inner + 2)
         self._inner = inner
@@ -115,7 +113,7 @@ class LatencyDigest:
     def _bucket(self, seconds: float) -> int:
         if seconds <= 0:
             return 0
-        position = (math.log10(seconds) - self._log_min) * self._per_decade
+        position = (math.log10(seconds) - self._log_min) * _DIGEST_BUCKETS_PER_DECADE
         if position < 0:
             return 0
         index = int(position) + 1
@@ -125,7 +123,7 @@ class LatencyDigest:
         """Upper edge of bucket ``index`` in seconds."""
         if index <= 0:
             return 10.0 ** self._log_min
-        exponent = self._log_min + index / self._per_decade
+        exponent = self._log_min + index / _DIGEST_BUCKETS_PER_DECADE
         return 10.0 ** exponent
 
     def observe(self, seconds: float) -> None:
@@ -189,17 +187,17 @@ class HealthTracker:
 
     The score is ``1 - (weighted penalties)``, clamped to ``[0, 1]``:
 
-    * **error rate** over the last ``window`` outcomes (weight
-      ``error_weight``) -- a shard failing half its evaluations is sick
-      no matter how fast it fails;
-    * **latency**: how far the digest's ``latency_quantile`` sits above
-      ``target_latency_seconds`` (weight ``latency_weight``, penalty
-      saturating at 3x the target).  With no target configured the
-      latency term is skipped -- absolute latency is workload-specific;
-    * **queue pressure** and **breaker state** are positional arguments
-      to :meth:`score` because they live with the caller (the engine
-      knows its queue bound and its breaker snapshot, the tracker does
-      not).
+    * **error rate** over the last ``window`` outcomes (weight 1) -- a
+      shard failing half its evaluations is sick no matter how fast it
+      fails;
+    * **latency**: how far the digest's p95 sits above
+      ``target_latency_seconds`` (weight 0.5, penalty saturating at 3x
+      the target).  With no target configured the latency term is
+      skipped -- absolute latency is workload-specific;
+    * **queue pressure** (weight 0.5) and **breaker state** (weight 1)
+      are arguments to :meth:`score` because they live with the caller
+      (the engine knows its queue bound and its breaker snapshot, the
+      tracker does not).
 
     Pure bookkeeping: no metrics, no clock, no threads -- every engine
     carries one tracker whether or not anything reads it, so it must be
@@ -213,12 +211,6 @@ class HealthTracker:
         self,
         window: int = 128,
         target_latency_seconds: Optional[float] = None,
-        latency_quantile: float = 0.95,
-        error_weight: float = 1.0,
-        latency_weight: float = 0.5,
-        queue_weight: float = 0.5,
-        breaker_weight: float = 1.0,
-        digest: Optional[LatencyDigest] = None,
     ):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -229,12 +221,7 @@ class HealthTracker:
             )
         self.window = int(window)
         self.target_latency_seconds = target_latency_seconds
-        self.latency_quantile = float(latency_quantile)
-        self.error_weight = float(error_weight)
-        self.latency_weight = float(latency_weight)
-        self.queue_weight = float(queue_weight)
-        self.breaker_weight = float(breaker_weight)
-        self.digest = digest if digest is not None else LatencyDigest()
+        self.digest = LatencyDigest()
         self._lock = named_lock("serving.health.tracker")
         self._outcomes: List[bool] = []
         self._next = 0  # ring-buffer write cursor once the window fills
@@ -262,7 +249,7 @@ class HealthTracker:
     def _latency_penalty(self) -> float:
         if self.target_latency_seconds is None:
             return 0.0
-        observed = self.digest.quantile(self.latency_quantile)
+        observed = self.digest.quantile(_LATENCY_QUANTILE)
         if observed is None or observed <= self.target_latency_seconds:
             return 0.0
         # Saturates at 3x target: beyond that the shard is simply "slow".
@@ -281,151 +268,23 @@ class HealthTracker:
         breaker keys currently open.
         """
         penalty = (
-            self.error_weight * self.error_rate()
-            + self.latency_weight * self._latency_penalty()
-            + self.queue_weight * max(0.0, min(1.0, queue_fraction))
-            + self.breaker_weight * max(0.0, min(1.0, breaker_open_fraction))
+            _ERROR_WEIGHT * self.error_rate()
+            + _LATENCY_WEIGHT * self._latency_penalty()
+            + _QUEUE_WEIGHT * max(0.0, min(1.0, queue_fraction))
+            + _BREAKER_WEIGHT * max(0.0, min(1.0, breaker_open_fraction))
         )
         return max(0.0, min(1.0, 1.0 - penalty))
 
-    def snapshot(self, **score_kwargs: float) -> Dict[str, float]:
+    def snapshot(self) -> Dict[str, float]:
+        """The digest's quantiles and count plus the windowed error rate.
+
+        No score: only the engine knows the queue and breaker fractions,
+        so :meth:`PredictionEngine.health_score
+        <repro.serving.PredictionEngine.health_score>` is the one score.
+        """
         out = self.digest.snapshot()
         out["error_rate"] = self.error_rate()
-        out["score"] = self.score(**score_kwargs)
         return out
-
-
-class AIMDLimiter:
-    """Adaptive concurrency limit: AIMD on observed latency vs. a target.
-
-    Observations accumulate into **count-based** windows of
-    ``window`` samples; when a window closes, the limit moves once:
-
-    * window mean latency <= ``target_latency_seconds``: additive
-      increase (``limit + increase``, capped at ``max_limit``,
-      ``serving.limit.increases``);
-    * window mean latency  > target: multiplicative decrease
-      (``floor(limit * decrease_factor)``, floored at ``min_limit``,
-      ``serving.limit.decreases``), rate-limited by
-      ``cooldown_seconds`` on the injectable ``clock`` so a burst of
-      slow windows cannot collapse the limit in one swoop.
-
-    Count-based windows make the limit trace a pure function of the
-    latency trace (plus the clock for cooldowns) -- the hypothesis suite
-    in ``tests/test_limiter_properties.py`` asserts the clamp, the
-    monotone decrease under sustained overload, the recovery to
-    ``max_limit`` under sustained health, and same-trace determinism.
-
-    Wire into an engine with ``PredictionEngine(limiter=...)``: the
-    bounded queue then reads :meth:`current_limit` as its live bound on
-    every admission instead of the static ``max_queue_depth``.
-    """
-
-    def __init__(
-        self,
-        target_latency_seconds: float,
-        min_limit: int = 4,
-        max_limit: int = 1024,
-        initial_limit: Optional[int] = None,
-        increase: int = 1,
-        decrease_factor: float = 0.5,
-        window: int = 16,
-        cooldown_seconds: float = 0.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if target_latency_seconds <= 0:
-            raise ValueError(
-                f"target_latency_seconds must be > 0, got {target_latency_seconds}"
-            )
-        if min_limit < 1:
-            raise ValueError(f"min_limit must be >= 1, got {min_limit}")
-        if max_limit < min_limit:
-            raise ValueError(
-                f"max_limit must be >= min_limit, got {max_limit} < {min_limit}"
-            )
-        if initial_limit is None:
-            initial_limit = max_limit
-        if not min_limit <= initial_limit <= max_limit:
-            raise ValueError(
-                f"initial_limit must be in [{min_limit}, {max_limit}], "
-                f"got {initial_limit}"
-            )
-        if increase < 1:
-            raise ValueError(f"increase must be >= 1, got {increase}")
-        if not 0.0 < decrease_factor < 1.0:
-            raise ValueError(
-                f"decrease_factor must be in (0, 1), got {decrease_factor}"
-            )
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if cooldown_seconds < 0:
-            raise ValueError(
-                f"cooldown_seconds must be >= 0, got {cooldown_seconds}"
-            )
-        self.target_latency_seconds = float(target_latency_seconds)
-        self.min_limit = int(min_limit)
-        self.max_limit = int(max_limit)
-        self.increase = int(increase)
-        self.decrease_factor = float(decrease_factor)
-        self.window = int(window)
-        self.cooldown_seconds = float(cooldown_seconds)
-        self.clock = clock
-        self._lock = named_lock("serving.health.limiter")
-        self._limit = int(initial_limit)
-        self._sum = 0.0
-        self._count = 0
-        self._last_decrease: Optional[float] = None
-        self.metrics = metrics.scope()
-
-    def current_limit(self) -> int:
-        with self._lock:
-            return self._limit
-
-    def observe(self, latency_seconds: float) -> None:
-        """Fold one request latency in; may close a window and move the limit."""
-        moved: Optional[str] = None
-        with self._lock:
-            self._sum += float(latency_seconds)
-            self._count += 1
-            if self._count < self.window:
-                return
-            mean = self._sum / self._count
-            self._sum = 0.0
-            self._count = 0
-            if mean <= self.target_latency_seconds:
-                raised = min(self.max_limit, self._limit + self.increase)
-                if raised != self._limit:
-                    self._limit = raised
-                    moved = "increase"
-            else:
-                now = self.clock()
-                if (
-                    self._last_decrease is not None
-                    and self.cooldown_seconds > 0
-                    and now - self._last_decrease < self.cooldown_seconds
-                ):
-                    return
-                lowered = max(
-                    self.min_limit, int(self._limit * self.decrease_factor)
-                )
-                if lowered != self._limit:
-                    self._limit = lowered
-                    moved = "decrease"
-                self._last_decrease = now
-        # Metrics fire outside the lock (REP011 discipline) and only when
-        # the limit actually moved -- an idle limiter is metrics-silent.
-        if moved == "increase":
-            self.metrics.increment("serving.limit.increases")
-        elif moved == "decrease":
-            self.metrics.increment("serving.limit.decreases")
-
-    def stats(self) -> Dict[str, int]:
-        counts = Counter(self.metrics.counters())
-        return {
-            "limit": self.current_limit(),
-            "increases": counts["serving.limit.increases"],
-            "decreases": counts["serving.limit.decreases"],
-        }
 
 
 class BrownoutController:
@@ -433,11 +292,11 @@ class BrownoutController:
 
     Two thresholds partition the score axis into three regimes:
 
-    * ``score >= low_threshold``: healthy -- everything admitted;
-    * ``normal_threshold <= score < low_threshold``: brownout --
-      :data:`PRIORITY_LOW` (optional) work is shed;
-    * ``score < normal_threshold``: deep brownout -- only
-      :data:`PRIORITY_HIGH` work is admitted.
+    * ``score >= 0.7``: healthy -- everything admitted;
+    * ``0.4 <= score < 0.7``: brownout -- :data:`PRIORITY_LOW` (optional)
+      work is shed;
+    * ``score < 0.4``: deep brownout -- only :data:`PRIORITY_HIGH` work is
+      admitted.
 
     :meth:`admit` is a pure function of ``(priority, score)`` except for
     the regime it keeps per caller: one controller may serve several
@@ -450,14 +309,7 @@ class BrownoutController:
     engine's ``stats()`` reports its own sheds and regime.
     """
 
-    def __init__(self, low_threshold: float = 0.7, normal_threshold: float = 0.4):
-        if not 0.0 < normal_threshold < low_threshold <= 1.0:
-            raise ValueError(
-                "need 0 < normal_threshold < low_threshold <= 1, got "
-                f"{normal_threshold} / {low_threshold}"
-            )
-        self.low_threshold = float(low_threshold)
-        self.normal_threshold = float(normal_threshold)
+    def __init__(self):
         self._lock = named_lock("serving.health.brownout")
         # Callers currently browned out; weak, so a dropped engine leaves.
         self._browned_out: weakref.WeakSet = weakref.WeakSet()
@@ -465,9 +317,9 @@ class BrownoutController:
 
     def min_priority(self, score: float) -> int:
         """Lowest priority admitted at ``score``."""
-        if score >= self.low_threshold:
+        if score >= _BROWNOUT_LOW_THRESHOLD:
             return PRIORITY_LOW
-        if score >= self.normal_threshold:
+        if score >= _BROWNOUT_NORMAL_THRESHOLD:
             return PRIORITY_NORMAL
         return PRIORITY_HIGH
 

@@ -30,7 +30,6 @@ steps the active pointer back to the newest good version.
 from __future__ import annotations
 
 import hashlib
-import threading
 from ..locks import named_lock
 import time
 from dataclasses import dataclass

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import threading
 from ..locks import named_lock
 from collections import Counter
 from concurrent.futures import Future
@@ -681,8 +680,11 @@ class ShardRouter:
 
         The operator-facing probe surface: a shard with a sagging score
         (slow, erroring, or queue-pressured) shows up here before it
-        shows up in p99.  ``ready`` uses each engine's configured
-        ``ready_threshold``; probing counts readiness transitions
+        shows up in p99.  ``score`` is the engine's
+        :meth:`~repro.serving.PredictionEngine.health_score`, the one
+        score in the entry; ``health`` carries the tracker's latency
+        quantiles and error rate behind it.  ``ready`` is the engine's
+        readiness probe, and probing counts readiness transitions
         (``serving.health.degraded`` / ``recovered``).
         """
         out: Dict[int, Dict[str, object]] = {}

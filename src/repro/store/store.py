@@ -60,7 +60,6 @@ import hashlib
 import json
 import os
 import re
-import threading
 from ..locks import named_lock
 import zlib
 from dataclasses import dataclass

@@ -2,12 +2,12 @@
 
 Each hot-path operation -- design-matrix assembly, Gram kernels, MAP
 solves, incremental Woodbury refits, and fused serving predictions -- runs
-once per dtype in {float64, float32} and is compared to the
-bitwise-deterministic float64 oracle (:mod:`repro.backends.oracle`) within
-the documented tolerance table (:data:`repro.backends.TOLERANCES`, whose
-prose copy lives in ``docs/backends.md``).  A tolerance of ``0.0`` means
-*bitwise equal*; the meta-tests at the bottom pin the float64 hot paths to
-the oracle's exact bits so the reference itself cannot drift.
+in float64 and is compared to the bitwise-deterministic float64 oracle
+(:mod:`repro.backends.oracle`) within the documented tolerances
+(:data:`repro.backends.TOLERANCES`, whose prose copy lives in
+``docs/backends.md``).  A tolerance of ``0.0`` means *bitwise equal*; the
+meta-tests at the bottom pin the hot paths to the oracle's exact bits so
+the reference itself cannot drift.
 """
 
 import numpy as np
@@ -26,21 +26,20 @@ from repro.linalg import extend_gram_kernel, gram_kernel
 
 from test_properties_woodbury import random_config
 
-DTYPES = ("float64", "float32")
-
 #: Seeds driving the randomized solve/refit conformance cases.
 SOLVE_SEEDS = tuple(range(0, 40, 4))
 
 
-# The "numpy-" prefix keeps each case's node ID as it was when the suite
-# also ran other numeric implementations, so test histories line up.
-@pytest.fixture(params=DTYPES, ids=lambda name: f"numpy-{name}")
+# Every hot path returns float64.  The "numpy-float64" id keeps each
+# case's node ID as it was when the suite also ran other numeric
+# implementations and float32, so test histories line up.
+@pytest.fixture(params=["float64"], ids=lambda name: f"numpy-{name}")
 def dtype(request):
     return np.dtype(request.param)
 
 
-def tolerance(dtype, operation):
-    return TOLERANCES[dtype.name].for_operation(operation)
+def tolerance(operation):
+    return TOLERANCES.for_operation(operation)
 
 
 def assert_conforms(actual, reference, tol, label):
@@ -70,86 +69,78 @@ class TestDesignMatrixConformance:
     def test_assembly_matches_oracle(self, dtype, problem):
         basis, x, _ = problem
         reference = oracle_design_matrix(basis, x)
-        actual = basis.design_matrix(x, dtype=dtype)
+        actual = basis.design_matrix(x)
         assert actual.dtype == dtype
-        tol = tolerance(dtype, "design")
-        # float32 tolerances are measured against the float64 oracle, so
-        # the float32 rounding of the reference itself is inside the bound.
-        assert_conforms(actual, reference, tol, f"design[{dtype}]")
+        assert_conforms(actual, reference, tolerance("design"), "design")
 
     def test_column_subsets_match_oracle(self, dtype, problem):
         basis, x, _ = problem
         columns = list(range(0, basis.size, 3))
         reference = oracle_design_matrix(basis, x)[:, columns]
-        actual = basis.design_matrix(x, columns=columns, dtype=dtype)
-        tol = tolerance(dtype, "design")
-        assert_conforms(actual, reference, tol, f"design-cols[{dtype}]")
+        actual = basis.design_matrix(x, columns=columns)
+        assert actual.dtype == dtype
+        assert_conforms(actual, reference, tolerance("design"), "design-cols")
 
 
 class TestGramKernelConformance:
     def test_gram_kernel_matches_oracle(self, dtype, problem):
         basis, x, _ = problem
-        design64 = oracle_design_matrix(basis, x)
-        design = design64.astype(dtype)
+        design = oracle_design_matrix(basis, x)
         rng = np.random.default_rng(5)
         scale_sq = np.abs(rng.standard_normal(basis.size)) + 0.1
-        reference = oracle_gram_kernel(design64, scale_sq)
+        reference = oracle_gram_kernel(design, scale_sq)
         actual = gram_kernel(design, scale_sq)
-        tol = tolerance(dtype, "gram")
-        assert_conforms(actual, reference, tol, f"gram[{dtype}]")
+        assert actual.dtype == dtype
+        assert_conforms(actual, reference, tolerance("gram"), "gram")
 
     def test_extend_gram_kernel_matches_oracle(self, dtype, problem):
         basis, x, _ = problem
-        design64 = oracle_design_matrix(basis, x)
-        design = design64.astype(dtype)
+        design = oracle_design_matrix(basis, x)
         split = design.shape[0] // 2
-        reference = oracle_gram_kernel(design64)
+        reference = oracle_gram_kernel(design)
         base = gram_kernel(design[:split])
         actual = extend_gram_kernel(base, design[:split], design[split:])
-        tol = tolerance(dtype, "gram")
-        assert_conforms(actual, reference, tol, f"extend[{dtype}]")
+        assert actual.dtype == dtype
+        assert_conforms(actual, reference, tolerance("gram"), "extend")
 
 
 class TestSolveConformance:
     @pytest.mark.parametrize("seed", SOLVE_SEEDS)
     def test_map_solve_matches_oracle(self, dtype, seed):
-        _, design64, target, prior, eta, missing_scale = random_config(seed)
-        design = design64.astype(dtype)
-        reference = oracle_map_solve(design64, target, prior, eta, missing_scale)
+        _, design, target, prior, eta, missing_scale = random_config(seed)
+        reference = oracle_map_solve(design, target, prior, eta, missing_scale)
         solver = KernelMapSolver(design, target, prior, missing_scale)
         actual = solver.solve(eta)
-        tol = tolerance(dtype, "solve")
-        assert_conforms(actual, reference, tol, f"solve[{dtype}]")
+        assert actual.dtype == dtype
+        assert_conforms(actual, reference, tolerance("solve"), "solve")
 
     @pytest.mark.parametrize("seed", SOLVE_SEEDS)
     def test_incremental_refit_matches_oracle(self, dtype, seed):
-        num_old, design64, target, prior, eta, missing_scale = random_config(seed)
-        design = design64.astype(dtype)
-        reference = oracle_map_solve(design64, target, prior, eta, missing_scale)
+        num_old, design, target, prior, eta, missing_scale = random_config(seed)
+        reference = oracle_map_solve(design, target, prior, eta, missing_scale)
         base = KernelMapSolver(
             design[:num_old], target[:num_old], prior, missing_scale
         )
         grown = base.extended(design[num_old:], target[num_old:])
         actual = grown.solve(eta)
-        tol = tolerance(dtype, "refit")
-        assert_conforms(actual, reference, tol, f"refit[{dtype}]")
+        assert actual.dtype == dtype
+        assert_conforms(actual, reference, tolerance("refit"), "refit")
 
 
 class TestServingConformance:
     def test_fused_predict_matches_oracle(self, dtype, problem):
         basis, x, coefficients = problem
         reference = oracle_predict(basis, coefficients, x)
-        actual = basis.fused_predict(x, coefficients, dtype=dtype)
+        actual = basis.fused_predict(x, coefficients)
         assert actual.dtype == dtype
-        tol = tolerance(dtype, "serving")
-        assert_conforms(actual, reference, tol, f"serving[{dtype}]")
+        assert_conforms(actual, reference, tolerance("serving"), "serving")
 
 
 class TestNumpyBitwiseMetaTest:
-    """The float64 hot paths must reproduce the oracle's exact bits.
+    """The hot paths must reproduce the oracle's exact bits.
 
-    These are the anchors of the whole tolerance table: if float64 drifted
-    from the oracle, the float32 row would silently be measured against a
+    These are the anchors of the tolerance table: if the hot paths drifted
+    from the oracle, every bound would silently be measured against a
     moved reference.
     """
 

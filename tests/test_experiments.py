@@ -166,15 +166,27 @@ class TestErrorTable:
         )
         assert table.best_method_at(40) in table.errors
 
-    def test_table1_shape_holds_at_reduced_size(self, tiny_ro):
-        """Table I's claims at K = 20..180: every method improves with K,
-        BMF-PS beats OMP by the bench's factor at the smallest K, and
-        prior selection tracks the better prior at every K.  The bench's
-        "BMF-PS at small K rivals OMP at large K" bound stays under
-        ``benchmarks/``: at this size BMF-PS at K=20 is 1.7x OMP at K=180."""
+    @pytest.mark.parametrize(
+        "testbench, metric",
+        [
+            ("tiny_ro", "power"),
+            ("tiny_ro", "phase_noise"),
+            ("tiny_ro", "frequency"),
+            ("tiny_sram", "read_delay"),
+        ],
+        ids=["table1-power", "table2-phase_noise", "table3-frequency",
+             "table5-read_delay"],
+    )
+    def test_table_shape_holds_at_reduced_size(self, request, testbench, metric):
+        """Tables I, II, III and V at K = 20..180: every method improves
+        with K, BMF-PS beats OMP by the bench's factor at the smallest K,
+        and prior selection tracks the better prior at every K.  The
+        bench's "BMF-PS at small K rivals OMP at large K" bound stays
+        under ``benchmarks/``: at this size BMF-PS at K=20 is 1.7x-2.4x
+        OMP at K=180."""
         table = run_error_table(
-            tiny_ro,
-            "power",
+            request.getfixturevalue(testbench),
+            metric,
             sample_counts=(20, 60, 180),
             repeats=3,
             rng=np.random.default_rng(101),

@@ -168,8 +168,6 @@ class TestPredictionEngine:
 
     def test_constructor_validation(self):
         registry = ModelRegistry()
-        with pytest.raises(ValueError, match="max_batch_size"):
-            PredictionEngine(registry, max_batch_size=0)
         with pytest.raises(ValueError, match="max_delay_seconds"):
             PredictionEngine(registry, max_delay_seconds=-1.0)
         with pytest.raises(ValueError, match="workers"):

@@ -1,8 +1,8 @@
 """Tests for the tail-tolerance layer (``repro.serving.health``):
 
-latency digest, health scoring, AIMD concurrency limiting, brownout
-shedding, hedged requests, the cancellation-aware request lifecycle,
-and the liveness-checked ``predict()`` wait (the no-timeout hang
+latency digest, health scoring, brownout shedding, hedged requests,
+the router's health view, the cancellation-aware request lifecycle, and
+the liveness-checked ``predict()`` wait (the no-timeout hang
 regression).
 """
 
@@ -19,7 +19,6 @@ from repro.serving import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
-    AIMDLimiter,
     BrownoutController,
     BrownoutShedError,
     EngineStoppedError,
@@ -104,9 +103,9 @@ class TestLatencyDigest:
         assert quantiles == sorted(quantiles)
 
     def test_out_of_range_observations_clamp(self):
-        digest = LatencyDigest(min_seconds=1e-3, max_seconds=1.0)
+        digest = LatencyDigest()
         digest.observe(0.0)  # underflow bucket
-        digest.observe(100.0)  # overflow bucket
+        digest.observe(100.0)  # overflow bucket (the top edge is 60 s)
         assert digest.count == 2
         assert digest.quantile(0.99) is not None
 
@@ -174,106 +173,19 @@ class TestHealthTracker:
         tracker.observe_latency(0.01)
         tracker.observe_outcome(True)
         snap = tracker.snapshot()
-        assert set(snap) >= {"score", "error_rate", "count"}
-
-
-class TestAIMDLimiter:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AIMDLimiter(target_latency_seconds=0.0)
-        with pytest.raises(ValueError):
-            AIMDLimiter(target_latency_seconds=0.1, min_limit=0)
-        with pytest.raises(ValueError):
-            AIMDLimiter(target_latency_seconds=0.1, min_limit=10, max_limit=5)
-        with pytest.raises(ValueError):
-            AIMDLimiter(target_latency_seconds=0.1, decrease_factor=1.5)
-
-    def test_decreases_multiplicatively_when_slow(self):
-        limiter = AIMDLimiter(
-            target_latency_seconds=0.01,
-            min_limit=2,
-            max_limit=64,
-            initial_limit=64,
-            window=4,
-            clock=ManualClock(),
-        )
-        for _ in range(4):
-            limiter.observe(0.1)
-        assert limiter.current_limit() == 32
-        stats = limiter.stats()
-        assert stats["decreases"] == 1
-        assert stats["increases"] == 0
-
-    def test_increases_additively_when_fast(self):
-        limiter = AIMDLimiter(
-            target_latency_seconds=0.01,
-            min_limit=2,
-            max_limit=64,
-            initial_limit=8,
-            increase=2,
-            window=4,
-            clock=ManualClock(),
-        )
-        for _ in range(8):
-            limiter.observe(0.001)
-        assert limiter.current_limit() == 12
-        assert limiter.stats()["increases"] == 2
-
-    def test_cooldown_rate_limits_decreases(self):
-        clock = ManualClock()
-        limiter = AIMDLimiter(
-            target_latency_seconds=0.01,
-            min_limit=2,
-            max_limit=64,
-            initial_limit=64,
-            window=2,
-            cooldown_seconds=10.0,
-            clock=clock,
-        )
-        for _ in range(2):
-            limiter.observe(0.1)
-        assert limiter.current_limit() == 32
-        # Second slow window inside the cooldown: no further decrease.
-        for _ in range(2):
-            limiter.observe(0.1)
-        assert limiter.current_limit() == 32
-        clock.advance(11.0)
-        for _ in range(2):
-            limiter.observe(0.1)
-        assert limiter.current_limit() == 16
-
-    def test_engine_queue_bound_follows_limiter(self, basis, model):
-        limiter = AIMDLimiter(
-            target_latency_seconds=0.01,
-            min_limit=2,
-            max_limit=16,
-            initial_limit=16,
-            window=4,
-            clock=ManualClock(),
-        )
-        engine = make_engine(basis, model, limiter=limiter)
-        assert engine.queue_bound() == 16
-        for _ in range(4):
-            limiter.observe(0.1)
-        assert engine.queue_bound() == 8
-        assert engine.stats()["limit"] == 8
+        # No score: the engine's health_score() is the one score.
+        assert set(snap) == {"count", "p50", "p95", "p99", "error_rate"}
 
 
 class TestBrownoutController:
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            BrownoutController(low_threshold=0.4, normal_threshold=0.7)
-        with pytest.raises(ValueError):
-            BrownoutController(low_threshold=1.5, normal_threshold=0.4)
-
     def test_min_priority_regimes(self):
-        controller = BrownoutController(low_threshold=0.7, normal_threshold=0.4)
+        controller = BrownoutController()
         assert controller.min_priority(0.9) == PRIORITY_LOW
         assert controller.min_priority(0.5) == PRIORITY_NORMAL
         assert controller.min_priority(0.1) == PRIORITY_HIGH
 
     def test_admit_sheds_below_floor_and_counts_transitions(self):
-        controller = BrownoutController(low_threshold=0.7, normal_threshold=0.4)
+        controller = BrownoutController()
         assert controller.admit(PRIORITY_LOW, 0.9)
         assert not controller.active
         assert not controller.admit(PRIORITY_LOW, 0.5)
@@ -297,10 +209,6 @@ class TestEngineHealthProbes:
         assert not engine.live()
         assert not engine.ready()
 
-    def test_ready_threshold_validated(self, basis, model):
-        with pytest.raises(ValueError):
-            make_engine(basis, model, ready_threshold=1.5)
-
     def test_degraded_health_flips_ready(self, basis, model):
         health = HealthTracker(window=8)
         for _ in range(8):
@@ -321,7 +229,7 @@ class TestEngineHealthProbes:
         with make_engine(basis, model) as engine:
             stats = engine.stats()
         for key in ("health_score", "live", "ready", "cancelled",
-                    "brownout_shed", "limit", "brownout_active"):
+                    "brownout_shed", "brownout_active"):
             assert key in stats
 
 
@@ -523,6 +431,34 @@ class TestHedgedRequests:
                 assert entry["live"]
                 assert entry["ready"]
                 assert 0.0 <= entry["score"] <= 1.0
+
+
+class TestRouterHealth:
+    def test_entry_score_is_the_engine_score(self, basis, model, tmp_path):
+        """A queue-pressured shard reads one score: the engine's."""
+        router = ShardRouter(
+            tmp_path,
+            num_shards=2,
+            replication_factor=2,
+            engine_kwargs={"workers": 1, "max_delay_seconds": 0.0,
+                           "max_queue_depth": 4},
+        )
+        x = np.zeros((1, basis.num_vars))
+        with router:
+            router.publish("m", model)
+            primary = router.primary("m")
+            engine = router.shard(primary).engine
+            engine.pause_dispatch()
+            try:
+                futures = [router.submit("m", x) for _ in range(4)]
+                entry = router.health()[primary]
+                # A full queue costs half the score (queue weight 0.5).
+                assert entry["score"] == engine.health_score() == 0.5
+                assert "score" not in entry["health"]
+            finally:
+                engine.resume_dispatch()
+            for future in futures:
+                assert future.result(timeout=5.0).shape == (1,)
 
 
 class TestTagScopedFailpoints:

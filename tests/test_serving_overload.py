@@ -340,7 +340,6 @@ class TestStatsSnapshot:
         "breaker",
         "cancelled",
         "brownout_shed",
-        "limit",
         "health_score",
         "live",
         "ready",

@@ -117,14 +117,6 @@ class TestDeadlines:
                     deadline=Deadline.after(1.0),
                 )
 
-    def test_default_timeout_applies_to_submissions(self, basis, registry):
-        engine = PredictionEngine(registry, default_timeout_seconds=30.0)
-        with engine:
-            future = engine.submit("m", np.zeros(basis.num_vars))
-            assert future.result(timeout=5.0).shape == (1,)
-        with pytest.raises(ValueError, match="default_timeout_seconds"):
-            PredictionEngine(registry, default_timeout_seconds=0.0)
-
     def test_fresh_deadline_is_served(self, basis, registry):
         with PredictionEngine(registry) as engine:
             future = engine.submit(

@@ -1,7 +1,7 @@
 """One count per serving event.
 
 Each serving component (engine, shard router, brownout controller,
-limiter, hedge coordinator) counts through its own scope of the global
+hedge coordinator) counts through its own scope of the global
 metrics registry and reads its ``stats()`` back from that scope.  These
 tests pin the bookkeeping: every global ``serving.*`` delta is exactly
 the sum of the owning scopes' deltas, a scope never sees traffic its
