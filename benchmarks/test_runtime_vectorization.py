@@ -177,12 +177,14 @@ def test_store_backed_serving_path_keeps_speedup(benchmark, tmp_path):
 
 
 def test_linear_design_matrix_vectorization(benchmark):
-    """Linear bases (the SRAM path's 66k-variable regime) must not regress.
+    """Linear bases (the paper's RO and SRAM models) assemble by one copy.
 
-    The oracle's per-column loop and the production two-assignment gather
-    produce the same ``K x (R + 1)`` floats; at this shape the assembly is
-    memory-bound, and the gather removes the loop's per-column Python
-    overhead and temporaries.  Assert parity-or-better plus bitwise
+    The oracle's per-column loop and the production assembly produce the
+    same ``K x (R + 1)`` floats.  A linear basis's variables follow its
+    constant in order, so production fills the constant column and copies
+    ``x`` into the rest with one slice assignment each: no per-column
+    Python loop and no fancy-index gather with its temporary.  Assert at
+    least 8x over the loop (about 20x measured on one core) plus bitwise
     agreement.
     """
     basis = OrthonormalBasis.linear(4000)
@@ -208,7 +210,9 @@ def test_linear_design_matrix_vectorization(benchmark):
     result = benchmark.pedantic(run, rounds=1, iterations=1)
 
     assert np.array_equal(result["fast"], result["reference"])
-    assert result["speedup"] >= 0.9, f"linear path regressed: {result['speedup']:.2f}x"
+    assert result["speedup"] >= 8.0, (
+        f"linear slice-copy assembly only {result['speedup']:.2f}x faster"
+    )
     save_result(
         "runtime_linear_design",
         "Linear design matrix, R = 4000, K = 500: "

@@ -13,6 +13,7 @@ the variables.
 from __future__ import annotations
 
 import hashlib
+import operator
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +30,12 @@ from .multiindex import (
 )
 
 __all__ = ["OrthonormalBasis"]
+
+
+def _as_slice(indices: List[int]) -> "slice | List[int]":
+    """``indices`` as the equivalent slice when they count up by one."""
+    start, stop = indices[0], indices[0] + len(indices)
+    return slice(start, stop) if indices == list(range(start, stop)) else indices
 
 
 class OrthonormalBasis:
@@ -198,13 +205,15 @@ class OrthonormalBasis:
 
         A generator argument must be consumed exactly once: both table
         sizing and assembly below iterate the result, so everything works
-        off this single materialized list.
+        off this single materialized list.  Entries must be integers
+        (``operator.index``): a float raises ``TypeError``, as in numpy
+        indexing, rather than being truncated to a column.
         """
         if columns is None:
             return list(range(self.size))
         wanted: List[int] = []
         for c in columns:
-            c = int(c)
+            c = operator.index(c)
             if c < 0:
                 c += self.size
             if not 0 <= c < self.size:
@@ -342,7 +351,14 @@ class OrthonormalBasis:
         return out
 
     def _linear_design_matrix(self, x: np.ndarray, wanted: List[int]) -> np.ndarray:
-        """Fast path for linear bases: columns are 1 or a raw variable."""
+        """Fast path for linear bases: columns are 1 or a raw variable.
+
+        Variable columns that sit in consecutive output positions and read
+        consecutive variables -- every basis :meth:`linear` builds, whole
+        or restricted to a range -- are written by one slice copy of
+        ``x``; any other layout (permuted variables, gaps) is gathered.
+        Both write the same floats.
+        """
         out = np.empty((x.shape[0], len(wanted)), dtype=np.float64)
         const_pos: List[int] = []
         var_pos: List[int] = []
@@ -355,9 +371,9 @@ class OrthonormalBasis:
                 var_pos.append(j)
                 var_ids.append(idx[0][0])
         if const_pos:
-            out[:, const_pos] = 1.0
+            out[:, _as_slice(const_pos)] = 1.0
         if var_pos:
-            out[:, var_pos] = x[:, var_ids]
+            out[:, _as_slice(var_pos)] = x[:, _as_slice(var_ids)]
         return out
 
     def fused_predict(self, x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:

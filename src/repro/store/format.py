@@ -66,9 +66,31 @@ class CorruptRecordError(Exception):
     """A persisted record failed its structural or checksum validation."""
 
 
+def _views_bytes(value: np.ndarray) -> bool:
+    """True when ``value``'s memory belongs to an immutable ``bytes`` object."""
+    base = value
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, memoryview):
+        base = base.obj
+    return isinstance(base, bytes)
+
+
 def _frozen_array(value: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """A read-only C-contiguous array that no caller can change.
+
+    A C-contiguous view of a ``bytes`` object -- what :func:`decode_record`
+    slices from a checked blob -- can never change, so it is kept as is;
+    any other array is copied.
+    """
     if value is None:
         return None
+    if (
+        isinstance(value, np.ndarray)
+        and value.flags.c_contiguous
+        and _views_bytes(value)
+    ):
+        return value
     out = np.ascontiguousarray(value)
     if out is value:
         out = value.copy()
@@ -181,13 +203,19 @@ class ModelRecord:
         return basis
 
     def prior(self):
-        """Rebuild the prior config, or ``None`` when none was recorded."""
+        """Rebuild the prior config, or ``None`` when none was recorded.
+
+        The prior gets its own copies of the arrays, so a fitter that keeps
+        it does not keep a decoded record's whole blob alive.
+        """
         from ..bmf.priors import GaussianCoefficientPrior
 
         if self.prior_mean is None or self.prior_scale is None:
             return None
         return GaussianCoefficientPrior(
-            self.prior_mean, self.prior_scale, self.prior_name or "custom"
+            self.prior_mean.copy(),
+            self.prior_scale.copy(),
+            self.prior_name or "custom",
         )
 
     def equals_bitwise(self, other: "ModelRecord") -> bool:
@@ -214,7 +242,7 @@ def _array_descriptors(
 ) -> Tuple[List[Dict[str, Any]], List[np.ndarray]]:
     """Payload descriptors plus the arrays whose buffers form the payload.
 
-    A record's arrays are frozen C-contiguous copies, so each one's buffer
+    A record's arrays are read-only and C-contiguous, so each one's buffer
     is exactly its payload bytes and is written without another copy.
     """
     descriptors: List[Dict[str, Any]] = []
@@ -287,7 +315,10 @@ def decode_record(blob: bytes) -> ModelRecord:
     magic, truncation, trailing garbage, checksum mismatch, or a header
     that does not describe the payload it sits on.  The checksum and the
     array slices read the payload through a ``memoryview``, without
-    copying it; the record then holds its own frozen copy of each array.
+    copying it.  A ``bytes`` blob is immutable, so the record keeps those
+    read-only slices as its arrays and the arrays keep the blob alive; a
+    holder that outlives the record copies what it keeps (the registry
+    copies the coefficients it serves).  Any other buffer is copied.
     """
     if len(blob) < _PREFIX.size:
         raise CorruptRecordError(

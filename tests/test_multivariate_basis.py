@@ -123,6 +123,21 @@ class TestDesignMatrix:
         with pytest.raises(IndexError, match="out of range"):
             basis.design_matrix(x, columns=[-basis.size - 1])
 
+    def test_float_columns_rejected_not_truncated(self, rng):
+        """A float column index raises as numpy indexing does, instead of
+        being truncated to a neighbouring column."""
+        basis = OrthonormalBasis.linear(3)
+        x = rng.standard_normal((4, 3))
+        with pytest.raises(TypeError):
+            basis.design_matrix(x, columns=[1.7, 2.2])
+        with pytest.raises(TypeError):
+            basis.design_matrix(x, columns=np.array([0.0, 3.9]))
+        full = basis.design_matrix(x)
+        assert np.array_equal(
+            basis.design_matrix(x, columns=np.array([3, -4], dtype=np.int32)),
+            full[:, [3, 0]],
+        )
+
     def test_hermite_tables_sized_to_selected_columns(self, rng, monkeypatch):
         """Requesting only low-degree columns must not build full tables."""
         import repro.basis.multivariate as multivariate
@@ -195,6 +210,86 @@ class TestDesignMatrix:
         design = basis.design_matrix(x)
         gram = design.T @ design / x.shape[0]
         assert np.allclose(gram, np.eye(basis.size), atol=0.05)
+
+
+class TestLinearAssembly:
+    """Linear bases are written by one slice copy of ``x`` when their
+    variable columns are contiguous and gathered otherwise; both must
+    equal the oracle's per-column loop bit for bit."""
+
+    R = 6
+
+    @pytest.mark.parametrize("num_samples", [0, 1, 7, 300])
+    def test_linear_basis_matches_oracle(self, rng, num_samples):
+        basis = OrthonormalBasis.linear(self.R)
+        x = rng.standard_normal((num_samples, self.R))
+        design = basis.design_matrix(x)
+        assert design.shape == (num_samples, self.R + 1)
+        assert np.array_equal(design, oracle_design_matrix(basis, x))
+
+    def test_without_constant_matches_oracle(self, rng):
+        basis = OrthonormalBasis.linear(self.R, include_constant=False)
+        x = rng.standard_normal((9, self.R))
+        assert np.array_equal(basis.design_matrix(x), oracle_design_matrix(basis, x))
+        assert np.array_equal(basis.design_matrix(x), x)
+
+    def test_strided_samples_match_oracle(self, rng):
+        basis = OrthonormalBasis.linear(self.R)
+        wide = rng.standard_normal((11, 2 * self.R))
+        for x in (np.asfortranarray(wide[:, : self.R]), wide[:, ::2]):
+            assert np.array_equal(
+                basis.design_matrix(x), oracle_design_matrix(basis, x)
+            )
+
+    def test_permuted_variables_match_oracle(self, rng):
+        order = [3, 0, 5, 1, 4, 2]
+        basis = OrthonormalBasis(self.R, [((v, 1),) for v in order] + [()])
+        x = rng.standard_normal((8, self.R))
+        design = basis.design_matrix(x)
+        assert np.array_equal(design, oracle_design_matrix(basis, x))
+        assert np.array_equal(design[:, :-1], x[:, order])
+
+    @pytest.mark.parametrize(
+        "columns", [[0, 3, 4, 5], [2, 3, 4], [0, 2, 5], [1, 3, 6]],
+        ids=["const-then-run", "run-off-zero", "gaps", "gaps-no-const"],
+    )
+    def test_restricted_bases_match_oracle(self, rng, columns):
+        restricted = OrthonormalBasis.linear(self.R).restricted_to(columns)
+        x = rng.standard_normal((10, self.R))
+        assert np.array_equal(
+            restricted.design_matrix(x), oracle_design_matrix(restricted, x)
+        )
+
+    @pytest.mark.parametrize(
+        "columns",
+        [[2, 2, 3], [0, 0, 1, 2], [-1, -2, 0], [6, 5, 4, 3, 2, 1, 0], [1, 0, 2]],
+        ids=["duplicates", "duplicate-constant", "negative", "reversed",
+             "constant-between"],
+    )
+    def test_column_selections_match_oracle(self, rng, columns):
+        basis = OrthonormalBasis.linear(self.R)
+        x = rng.standard_normal((12, self.R))
+        wanted = [c % basis.size for c in columns]
+        assert np.array_equal(
+            basis.design_matrix(x, columns=columns),
+            oracle_design_matrix(basis, x)[:, wanted],
+        )
+
+    def test_fusion_problem_basis_matches_oracle(self, rng, tiny_ro):
+        from repro.circuits.modeling import FusionProblem
+
+        basis = FusionProblem(tiny_ro, "power").late_basis
+        x = rng.standard_normal((40, basis.num_vars))
+        assert np.array_equal(basis.design_matrix(x), oracle_design_matrix(basis, x))
+
+    def test_fused_predict_on_one_row_matches_oracle(self, rng):
+        basis = OrthonormalBasis.linear(self.R)
+        x = rng.standard_normal((1, self.R))
+        coefficients = rng.standard_normal(basis.size)
+        assert np.array_equal(
+            basis.fused_predict(x, coefficients),
+            oracle_design_matrix(basis, x) @ coefficients,
+        )
 
 
 class TestEvaluate:

@@ -106,6 +106,29 @@ class TestJournalFollower:
         assert replica.snapshot() == primary.snapshot()
         assert replica.current("power").version == 2
 
+    def test_served_coefficients_do_not_keep_the_record_blob(
+        self, store, monkeypatch
+    ):
+        import repro.store.store as store_module
+
+        blobs = []
+        decode = store_module.decode_record
+
+        def recording(blob):
+            blobs.append(blob)
+            return decode(blob)
+
+        monkeypatch.setattr(store_module, "decode_record", recording)
+        primary = ModelRegistry(store=store)
+        replica = ModelRegistry()
+        follower = JournalFollower(store, replica)
+        primary.publish("power", make_model(seed=1))
+        assert follower.poll() == 1
+        [blob] = blobs
+        served = replica.current("power").model.coefficients
+        assert np.array_equal(served, make_model(seed=1).coefficients)
+        assert not np.shares_memory(served, np.frombuffer(blob, dtype=np.uint8))
+
     def test_versions_with_one_basis_share_it(self, store):
         primary = ModelRegistry(store=store)
         replica = ModelRegistry()

@@ -194,6 +194,53 @@ class TestRecordFormat:
         # NaN payload and signed zero survive exactly.
         assert decoded.coefficients.tobytes() == coeffs.tobytes()
 
+    FULL = dict(
+        prior_name="nonzero-mean",
+        prior_mean=np.array([0.5, 0.25, 0.0, 1.0]),
+        prior_scale=np.array([1.0, np.inf, 2.0, 0.5]),
+        eta=1e-3,
+        chol_lower=np.tril(np.ones((3, 3))),
+        chol_prior_index=0,
+        train_x=np.zeros((4, 3)),
+        train_f=np.arange(4.0),
+    )
+
+    def test_decoded_arrays_are_read_only_views_of_the_blob(self):
+        blob = encode_record(make_record(**self.FULL))
+        whole = np.frombuffer(blob, dtype=np.uint8)
+        decoded = decode_record(blob)
+        for name in ModelRecord.ARRAY_FIELDS:
+            array = getattr(decoded, name)
+            assert not array.flags.writeable, name
+            assert np.shares_memory(array, whole), name
+        # A prior outlives the record it came from, so it owns its arrays.
+        prior = decoded.prior()
+        assert np.array_equal(prior.mean, decoded.prior_mean)
+        assert not np.shares_memory(prior.mean, whole)
+        assert not np.shares_memory(prior.scale, whole)
+
+    def test_records_copy_arrays_a_caller_can_change(self):
+        coefficients = np.arange(4.0)
+        train_x = np.zeros((4, 3))
+        read_only = train_x.view()
+        read_only.flags.writeable = False
+        record = make_record(
+            coefficients=coefficients, train_x=read_only, train_f=np.arange(4.0)
+        )
+        coefficients[0] = 99.0
+        train_x[0, 0] = 99.0
+        assert record.coefficients[0] == 0.0
+        assert record.train_x[0, 0] == 0.0
+        assert not record.coefficients.flags.writeable
+        # A writable buffer is decoded into copies, not views.
+        buffer = bytearray(encode_record(record))
+        decoded = decode_record(buffer)
+        assert decoded.equals_bitwise(record)
+        assert not np.shares_memory(
+            decoded.coefficients, np.frombuffer(buffer, dtype=np.uint8)
+        )
+        assert not decoded.coefficients.flags.writeable
+
     def test_blob_layout_and_stored_crc(self):
         blob = encode_record(make_record())
         assert blob[:4] == MAGIC
