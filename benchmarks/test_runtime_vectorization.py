@@ -220,3 +220,56 @@ def test_linear_design_matrix_vectorization(benchmark):
         f"vectorized {result['fast_seconds'] * 1e3:.2f} ms "
         f"({result['speedup']:.2f}x)",
     )
+
+
+def test_linear_batch_skips_design_cache(benchmark):
+    """A linear basis serves a repeated batch no slower with the cache on.
+
+    Keying a request for the design cache hashes its whole sample matrix:
+    3.7 MB for a 256-row batch at the paper's SRAM shape (R = 1804,
+    M = 1805), several times what the slice-copy assembly of a linear
+    design costs.  So a linear basis never consults the cache.  With a
+    default ``DesignMatrixCache`` installed, a repeated 256-row
+    ``fused_predict`` may take at most 1.5x the same call with the cache
+    off (best of 30 each, after one warming call), and both return the
+    oracle's matvec bitwise.
+    """
+    basis = OrthonormalBasis.linear(1804)
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal((256, basis.num_vars))
+    coefficients = rng.standard_normal(basis.size)
+
+    def repeated(cache):
+        previous = set_design_cache(cache)
+        try:
+            basis.fused_predict(x, coefficients)
+            return _best_of(30, lambda: basis.fused_predict(x, coefficients))
+        finally:
+            set_design_cache(previous)
+
+    def run():
+        off_seconds, off = repeated(None)
+        on_seconds, on = repeated(DesignMatrixCache())
+        return {
+            "off_seconds": off_seconds,
+            "on_seconds": on_seconds,
+            "ratio": on_seconds / off_seconds,
+            "off": off,
+            "on": on,
+        }
+
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
+
+    expected = oracle_design_matrix(basis, x) @ coefficients
+    assert np.array_equal(result["off"], expected)
+    assert np.array_equal(result["on"], expected)
+    assert result["ratio"] <= 1.5, (
+        f"repeated linear batch {result['ratio']:.2f}x slower with the cache on"
+    )
+    save_result(
+        "runtime_linear_cache",
+        "Repeated 256-row fused_predict, linear basis, R = 1804, M = "
+        f"{basis.size}: cache off {result['off_seconds'] * 1e3:.2f} ms, "
+        f"default cache {result['on_seconds'] * 1e3:.2f} ms "
+        f"({result['ratio']:.2f}x, bar 1.5x)",
+    )

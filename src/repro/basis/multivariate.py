@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.contracts import check_array
-from ..runtime.cache import design_cache, design_key
+from ..runtime.cache import DesignMatrixCache, design_cache, design_key
 from ..runtime.metrics import metrics
 from .hermite import hermite_orthonormal_all
 from .multiindex import (
@@ -68,6 +68,9 @@ class OrthonormalBasis:
         self._max_degree = max(
             (deg for idx in self.indices for _, deg in idx), default=0
         )
+        self._linear = self._max_degree <= 1 and all(
+            len(idx) <= 1 for idx in self.indices
+        )
         self._cache_token: Optional[str] = None
         self._index_array: Optional[np.ndarray] = None
 
@@ -98,8 +101,8 @@ class OrthonormalBasis:
         return self._max_degree
 
     def is_linear(self) -> bool:
-        """True if every basis function has total degree <= 1."""
-        return self._max_degree <= 1 and all(len(idx) <= 1 for idx in self.indices)
+        """True if every basis function has total degree <= 1 (set at construction)."""
+        return self._linear
 
     def total_degrees(self) -> np.ndarray:
         """Total degree of each basis function, shape ``(M,)``."""
@@ -175,8 +178,8 @@ class OrthonormalBasis:
         x = self._coerce_samples(x)
         wanted = self._resolve_columns(columns)
 
-        cache = design_cache()
-        if cache is None or x.shape[0] * max(len(wanted), 1) < cache.min_result_cells:
+        cache = self._design_cache_for(x.shape[0] * max(len(wanted), 1))
+        if cache is None:
             result = self._assemble(x, wanted)
         else:
             signature = None if columns is None else tuple(wanted)
@@ -189,6 +192,21 @@ class OrthonormalBasis:
             ndim=2,
             c_contiguous=True,
         )
+
+    def _design_cache_for(self, cells: int) -> Optional[DesignMatrixCache]:
+        """The design cache to consult for a ``cells``-cell design, or None.
+
+        A cache key hashes the whole sample matrix, so the cache is
+        consulted only where assembly costs more than the key: never for a
+        linear basis, whose assembly is a slice copy of the samples, and
+        not below the cache's ``min_result_cells``.
+        """
+        if self._linear:
+            return None
+        cache = design_cache()
+        if cache is None or cells < cache.min_result_cells:
+            return None
+        return cache
 
     def _coerce_samples(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -227,7 +245,7 @@ class OrthonormalBasis:
         with metrics.timer("design_matrix"):
             metrics.increment("design_matrix.calls")
             metrics.increment("design_matrix.cells", x.shape[0] * len(wanted))
-            if self.is_linear():
+            if self._linear:
                 return self._linear_design_matrix(x, wanted)
             plan = self._gather_plan(x, wanted)
             if plan is None:
@@ -379,12 +397,15 @@ class OrthonormalBasis:
     def fused_predict(self, x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
         """Fused design-matrix -> prediction serving kernel.
 
-        Computes ``design_matrix(x) @ coefficients`` in one call.  On a
-        design-cache hit the cached matrix feeds a single matvec (no
-        re-assembly); on a cache miss for a cacheable size the matrix is
-        materialized once, cached for the next batch of the same samples,
-        and consumed by the same matvec.  Below the cache's
-        ``min_result_cells`` threshold -- the common serving micro-batch --
+        Computes ``design_matrix(x) @ coefficients`` in one call.  Where
+        :meth:`_design_cache_for` consults the design cache (a nonlinear
+        basis at a cacheable size), a hit feeds the cached matrix to a
+        single matvec (no re-assembly) and a miss materializes the matrix
+        once, caches it for the next batch of the same samples, and
+        consumes it by the same matvec.  A linear basis is assembled by
+        slice copy, uncached, for the same matvec.  Otherwise -- below the
+        cache's ``min_result_cells`` threshold, the common serving
+        micro-batch, or with the cache disabled --
         :meth:`_fused_gather_matvec` streams block-sized slices of the
         assembly straight into the dot product, so no ``K x M``
         intermediate is ever materialized.  Counted as
@@ -397,16 +418,13 @@ class OrthonormalBasis:
                 f"expected {self.size} coefficients, got shape {coefficients.shape}"
             )
         metrics.increment("backends.fused_predicts")
-        cache = design_cache()
         wanted = list(range(self.size))
-        if (
-            cache is not None
-            and x.shape[0] * max(self.size, 1) >= cache.min_result_cells
-        ):
+        cache = self._design_cache_for(x.shape[0] * max(self.size, 1))
+        if cache is not None:
             key = design_key(self.cache_token(), x, None)
             design = cache.get_or_compute(key, lambda: self._assemble(x, wanted))
             return design @ coefficients
-        if self.is_linear():
+        if self._linear:
             design = self._linear_design_matrix(x, wanted)
             return design @ coefficients
         plan = self._gather_plan(x, wanted)

@@ -13,6 +13,12 @@ entries) and a sample array by a digest of its bytes.  Cached matrices are
 returned with ``writeable=False`` so an accidental in-place edit raises
 instead of silently corrupting every later hit.
 
+Hashing the samples costs more than assembling a linear basis's design,
+which is a slice copy of them, so a linear basis (the paper's RO and SRAM
+models) never consults the cache: its designs are fresh writable arrays,
+and only cached matrices are read-only.  The rule lives in
+``OrthonormalBasis._design_cache_for``.
+
 The process-global cache is enabled by default and bounded both by entry
 count and total bytes, and matrices never reused hold at most an eighth
 of the bytes; tiny evaluations (single-sample ``predict`` calls) bypass
@@ -35,7 +41,8 @@ from .metrics import metrics
 
 #: Fires on every cache hit, before the entry is re-validated; an armed
 #: error plan here models a poisoned cache entry (the cache self-heals by
-#: evicting and recomputing -- see get_or_compute).
+#: evicting and recomputing -- see get_or_compute).  Only nonlinear bases
+#: reach it.
 _FP_CACHE_LOOKUP = failpoint("cache.lookup")
 
 __all__ = [
@@ -71,7 +78,7 @@ def design_key(
 
 
 class DesignMatrixCache:
-    """Bounded LRU cache of assembled design matrices.
+    """Bounded LRU cache of assembled design matrices of nonlinear bases.
 
     One guard sits in front of plain LRU: entries not hit since they were
     stored -- a fresh Monte Carlo batch served once, a fit's own design --
@@ -93,6 +100,7 @@ class DesignMatrixCache:
     min_result_cells:
         Results with fewer than this many cells (``K * len(columns)``) are
         not cached -- hashing overhead would exceed the assembly cost.
+        Linear bases never reach the cache, whatever their size.
     """
 
     def __init__(

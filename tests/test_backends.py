@@ -1,6 +1,6 @@
 """Unit tests for the fused serving kernel, the float64 contract on
-cached design matrices, and the selection report environment
-fingerprints record."""
+cached design matrices, the design cache's cost rule, and the selection
+report environment fingerprints record."""
 
 import json
 
@@ -9,7 +9,9 @@ import pytest
 
 from repro.analysis.contracts import contracts_enabled
 from repro.backends import describe_selection
+from repro.backends.oracle import oracle_design_matrix
 from repro.basis import OrthonormalBasis
+from repro.circuits.modeling import FusionProblem
 from repro.runtime import DesignMatrixCache, set_design_cache
 from repro.runtime.metrics import metrics as runtime_metrics
 
@@ -83,3 +85,54 @@ class TestFusedPredict:
         basis = OrthonormalBasis.linear(3)
         with pytest.raises(ValueError, match="coefficients"):
             basis.fused_predict(np.zeros((2, 3)), np.zeros(basis.size + 1))
+
+
+@pytest.fixture
+def floorless_cache():
+    """A global design cache that would take a design of any size."""
+    cache = DesignMatrixCache(min_result_cells=1)
+    previous = set_design_cache(cache)
+    try:
+        yield cache
+    finally:
+        set_design_cache(previous)
+
+
+class TestDesignCacheCostRule:
+    """The cache is consulted only where assembly costs more than the key."""
+
+    @pytest.mark.parametrize("source", ["linear-50", "tiny-ro"])
+    def test_linear_basis_never_consults_cache(self, floorless_cache, source, tiny_ro):
+        if source == "linear-50":
+            basis = OrthonormalBasis.linear(50)
+        else:
+            basis = FusionProblem(tiny_ro, "power").late_basis
+        assert basis.is_linear()
+        rng = np.random.default_rng(4)
+        coefficients = rng.standard_normal(basis.size)
+        for rows in (1, 300):
+            x = rng.standard_normal((rows, basis.num_vars))
+            for _ in range(2):  # the repeat would be a hit if cached
+                design = basis.design_matrix(x)
+                assert np.array_equal(design, oracle_design_matrix(basis, x))
+                assert design.flags.writeable  # fresh, not a cache entry
+        for rows in (1, 256):
+            x = rng.standard_normal((rows, basis.num_vars))
+            expected = oracle_design_matrix(basis, x) @ coefficients
+            for _ in range(2):
+                assert np.array_equal(basis.fused_predict(x, coefficients), expected)
+        stats = floorless_cache.stats()
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 0, 0)
+
+    def test_quadratic_basis_still_caches(self, floorless_cache):
+        basis = OrthonormalBasis.total_degree(4, 2)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((6, basis.num_vars))
+        coefficients = rng.standard_normal(basis.size)
+        design = basis.design_matrix(x)
+        assert (floorless_cache.hits, floorless_cache.misses) == (0, 1)
+        predicted = basis.fused_predict(x, coefficients)  # same key: a hit
+        assert (floorless_cache.hits, floorless_cache.misses) == (1, 1)
+        assert not design.flags.writeable
+        assert np.array_equal(design, oracle_design_matrix(basis, x))
+        assert np.array_equal(predicted, design @ coefficients)

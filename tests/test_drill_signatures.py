@@ -38,9 +38,7 @@ EXPECTED_PATH = Path(__file__).with_name("drill_signatures.json")
 
 def _acceptance_mix():
     return (
-        FaultPlan.fail_with_probability(
-            "solver.cholesky", 0.25, seed=42, error=SolverError("chaos")
-        ),
+        FaultPlan.fail_every("solver.cholesky", 2, error=SolverError("chaos")),
         FaultPlan.fail_once("cache.lookup"),
     )
 

@@ -151,16 +151,31 @@ class TestSolverFaults:
 
 
 class TestCacheCorruption:
-    def test_poisoned_cache_entry_self_heals(self, tiny_ro, tiny_cache):
+    def test_poisoned_cache_entry_self_heals(self, tiny_cache):
         """A corrupted cached design matrix is evicted, recomputed, and never
-        surfaces in a prediction."""
+        surfaces in a prediction.
+
+        The model is quadratic because a linear basis never consults the
+        design cache.  Each query is asked twice in a row, so its second
+        request is a cache hit: the first such hit is poisoned.
+        """
+        basis = OrthonormalBasis.total_degree(4, 2)
+        rng = np.random.default_rng(11)
+        model = FittedModel(basis, rng.standard_normal(basis.size))
+        registry = ModelRegistry()
+        registry.publish("m", model)
+        queries = np.repeat(rng.standard_normal((4, basis.num_vars)), 2, axis=0)
+        injected_before = _counter("faults.injected.cache.lookup")
         evictions_before = _counter("design_cache.corrupt_evictions")
-        plans = (FaultPlan.fail_once("cache.lookup"),)
-        report = _run(tiny_ro, seed=11, fault_plans=plans, batch_sizes=(20, 8))
-        assert report.fault_counters.get("faults.injected.cache.lookup") == 1
+        with PredictionEngine(registry, workers=1) as engine:
+            with inject(FaultPlan.fail_once("cache.lookup")):
+                # One blocking request at a time: each is its own batch.
+                answers = [engine.predict("m", row) for row in queries]
+        assert _counter("faults.injected.cache.lookup") - injected_before == 1
         assert _counter("design_cache.corrupt_evictions") - evictions_before == 1
-        assert report.answered_fraction == 1.0
-        assert report.failed_requests == 0
+        assert len(answers) == len(queries)
+        for row, answer in zip(queries, answers):
+            assert np.array_equal(answer, model.predict(row[None, :]))
 
 
 class TestLatencyAndPublish:
@@ -235,9 +250,7 @@ class TestDeterminism:
             # Fresh plan objects per run: plans are frozen, but a fresh tuple
             # documents that no armed state leaks between runs.
             return (
-                FaultPlan.fail_with_probability(
-                    "solver.cholesky", 0.25, seed=42, error=SolverError("chaos")
-                ),
+                FaultPlan.fail_every("solver.cholesky", 2, error=SolverError("chaos")),
                 FaultPlan.fail_once("cache.lookup"),
             )
         first = _run(
@@ -251,14 +264,15 @@ class TestDeterminism:
         assert first.serving_counters == second.serving_counters
 
     def test_acceptance_mix(self, tiny_ro):
-        """The ISSUE acceptance scenario: >=10% solver failures plus one
-        poisoned cache entry -> 100% of requests complete, the served model
-        is never stale beyond one version, and the run is reproducible."""
+        """The acceptance scenario: every second Cholesky factorization
+        fails -> 100% of requests complete, the served model is never stale
+        beyond one version, and the run is reproducible.  A poisoned-cache
+        plan is armed too, but tiny RO's basis is linear and never consults
+        the design cache, so it never fires here; ``TestCacheCorruption``
+        covers the poisoned entry."""
         def plans():
             return (
-                FaultPlan.fail_with_probability(
-                    "solver.cholesky", 0.25, seed=42, error=SolverError("chaos")
-                ),
+                FaultPlan.fail_every("solver.cholesky", 2, error=SolverError("chaos")),
                 FaultPlan.fail_once("cache.lookup"),
             )
 
@@ -278,6 +292,7 @@ class TestDeterminism:
         assert first.max_version_lag <= 1
         injected = first.fault_counters.get("faults.injected", 0)
         assert injected >= 1
+        assert first.fault_counters.get("faults.injected.solver.cholesky", 0) >= 1
         assert first.deterministic_signature() == second.deterministic_signature()
 
     def test_report_format_is_human_readable(self, tiny_ro):

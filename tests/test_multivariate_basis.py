@@ -1,6 +1,7 @@
 """Unit tests for the multivariate orthonormal basis and design matrices."""
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -26,6 +27,30 @@ class TestConstruction:
     def test_is_linear(self):
         assert OrthonormalBasis.linear(5).is_linear()
         assert not OrthonormalBasis.total_degree(3, 2).is_linear()
+
+    @pytest.mark.parametrize(
+        "basis, linear",
+        [(OrthonormalBasis.linear(50), True), (OrthonormalBasis.total_degree(3, 2), False)],
+    )
+    def test_is_linear_reads_no_index_after_construction(self, basis, linear):
+        """Linearity is decided at construction, not per call."""
+
+        class CountingIndices(Sequence):
+            def __init__(self, items):
+                self.items = list(items)
+                self.reads = 0
+
+            def __len__(self):
+                return len(self.items)
+
+            def __getitem__(self, position):
+                self.reads += 1
+                return self.items[position]
+
+        counting = CountingIndices(basis.indices)
+        basis.indices = counting
+        assert basis.is_linear() is linear
+        assert counting.reads == 0
 
     def test_max_degree(self):
         assert OrthonormalBasis.linear(5).max_degree == 1
